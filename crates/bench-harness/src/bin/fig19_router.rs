@@ -142,13 +142,7 @@ fn run_one(cli: &Cli, shape: Shape, sessions: usize) -> f64 {
     })
 }
 
-fn write_json(
-    path: &str,
-    rows: &[Row],
-    cli: &Cli,
-    workers: usize,
-    hw: usize,
-) -> std::io::Result<()> {
+fn write_json(path: &str, rows: &[Row], cli: &Cli, workers: u64, hw: usize) -> std::io::Result<()> {
     let rate = |shape: Shape, sessions: usize| {
         rows.iter()
             .find(|r| r.shape == shape && r.sessions == sessions)

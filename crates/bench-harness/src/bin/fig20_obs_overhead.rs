@@ -207,7 +207,7 @@ fn write_json(
     path: &str,
     results: &[(Mix, MixResult)],
     cli: &Cli,
-    workers: usize,
+    workers: u64,
     hw: usize,
 ) -> std::io::Result<()> {
     let mut json = String::from("{\n");

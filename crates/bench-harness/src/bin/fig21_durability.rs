@@ -308,7 +308,7 @@ fn write_json(
     results: &[(Policy, PolicyResult)],
     recovery: &Recovery,
     cli: &Cli,
-    workers: usize,
+    workers: u64,
     hw: usize,
     segs: usize,
     seg_ops: usize,

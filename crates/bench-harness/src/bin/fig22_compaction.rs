@@ -271,7 +271,7 @@ fn main() {
     }
     let quiet_ms = quiet_start.elapsed().as_millis() as u64;
     let stats = maintainer.stop();
-    let background_consolidations = stats.consolidations();
+    let background_consolidations = stats.consolidations;
     // Deterministic backstop: whatever the background maintainer left
     // behind (a slow box, an unlucky poll cadence) is finished
     // synchronously so the committed gate does not race a thread.

@@ -176,7 +176,7 @@ fn write_json(
     rows: &[Row],
     net: &NetSnapshot,
     cli: &Cli,
-    workers: usize,
+    workers: u64,
     hw: usize,
 ) -> std::io::Result<()> {
     let rate = |shape: Shape, connections: usize| {

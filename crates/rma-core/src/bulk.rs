@@ -27,6 +27,13 @@ use crate::{Key, Value};
 
 impl Rma {
     /// Bottom-up bulk load of a batch sorted by key.
+    ///
+    /// Duplicates follow the [`insert`](Rma::insert) contract with the
+    /// batch as the newest writes: a batch entry lands ahead of the
+    /// elements already stored under its key, and equal keys within
+    /// the batch keep their batch order (the first is the newest). So
+    /// loading an RMA's own [`iter`](Rma::iter) order into an empty
+    /// RMA reproduces it exactly.
     pub fn load_bulk(&mut self, batch: &[(Key, Value)]) {
         debug_assert!(
             batch.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -194,7 +201,9 @@ impl Rma {
         self.len += n;
     }
 
-    /// Pass 1: the contiguous batch run destined for each segment.
+    /// Pass 1: the contiguous batch run destined for each segment,
+    /// routed like [`insert`](Rma::insert): a key equal to a separator
+    /// goes to the segment before it, the key's global lower bound.
     pub(crate) fn route_batch(&self, batch: &[(Key, Value)]) -> Vec<std::ops::Range<usize>> {
         let m = self.storage.seg_count();
         let mut runs = Vec::with_capacity(m);
@@ -205,7 +214,7 @@ impl Rma {
                     .index
                     .separator(s + 1)
                     .expect("separator for non-zero segment");
-                let end = cursor + batch[cursor..].partition_point(|p| p.0 < sep);
+                let end = cursor + batch[cursor..].partition_point(|p| p.0 <= sep);
                 runs.push(cursor..end);
                 cursor = end;
             } else {
@@ -326,7 +335,7 @@ impl Rma {
             let mut run_iter = run.iter().copied().peekable();
             loop {
                 let take_run = match (ex_iter.peek(), run_iter.peek()) {
-                    (Some(&(ek, _)), Some(&(rk, _))) => rk < ek,
+                    (Some(&(ek, _)), Some(&(rk, _))) => rk <= ek,
                     (None, Some(_)) => true,
                     (Some(_), None) => false,
                     (None, None) => break,
@@ -417,10 +426,10 @@ impl Rma {
     pub(crate) fn delete_pass(&mut self, deletes: &[Key]) -> usize {
         let mut removed = 0usize;
         for &k in deletes {
-            let seg = self.index.search(k);
-            let pos = self.storage.seg_lower_bound(seg, k);
-            let keys = self.storage.seg_keys(seg);
-            if pos < keys.len() && keys[pos] == k {
+            let Some((seg, pos)) = self.locate_lower_bound(k) else {
+                continue;
+            };
+            if self.storage.seg_keys(seg)[pos] == k {
                 self.storage.remove_from_segment(seg, pos);
                 if pos == 0 && self.storage.card(seg) > 0 {
                     let new_min = self.storage.seg_min(seg);
@@ -434,7 +443,8 @@ impl Rma {
     }
 }
 
-/// Two-pointer merge of a segment's content with a batch run.
+/// Two-pointer merge of a segment's content with a batch run; on equal
+/// keys the batch entry goes first.
 fn merge_into(
     seg_keys: &[Key],
     seg_vals: &[Value],
@@ -444,7 +454,7 @@ fn merge_into(
 ) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < seg_keys.len() || j < run.len() {
-        let take_run = j < run.len() && (i >= seg_keys.len() || run[j].0 < seg_keys[i]);
+        let take_run = j < run.len() && (i >= seg_keys.len() || run[j].0 <= seg_keys[i]);
         if take_run {
             out_keys.push(run[j].0);
             out_vals.push(run[j].1);

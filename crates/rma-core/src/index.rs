@@ -119,30 +119,12 @@ impl StaticIndex {
         self.num_segments
     }
 
-    /// The segment whose key range contains `k`: the rightmost segment
-    /// with separator `≤ k` (segment 0 when `k` precedes every
-    /// separator). Equal keys route right, matching the storage's
-    /// insertion convention.
-    #[inline]
-    pub fn search(&self, k: Key) -> usize {
-        let mut node = &self.nodes[0];
-        loop {
-            let off = node.key_off as usize;
-            let seps = &self.keys[off..off + node.nkeys as usize];
-            let j = seps.partition_point(|&s| s <= k);
-            let child = node.first_child as usize + j;
-            if node.leaf_children {
-                return child;
-            }
-            node = &self.nodes[child];
-        }
-    }
-
     /// The leftmost segment that can contain an element `>= k`: the
-    /// segment after all separators `< k`. Every element of earlier
-    /// segments is bounded by such a separator, hence strictly below
-    /// `k` — use this for lower-bound scans so duplicate runs spanning
-    /// segments are never skipped.
+    /// segment after all separators `< k` (segment 0 when `k` precedes
+    /// every separator). Every element of earlier segments is bounded
+    /// by such a separator, hence strictly below `k`, so a duplicate
+    /// run spanning segments is entered at its left end. The RMA's one
+    /// routing rule: lookups, inserts, deletes and scans all use it.
     #[inline]
     pub fn search_lower_bound(&self, k: Key) -> usize {
         let mut node = &self.nodes[0];
@@ -199,9 +181,9 @@ impl StaticIndex {
 mod tests {
     use super::*;
 
-    /// Reference: rightmost segment whose separator is <= k.
+    /// Reference: the segment after every separator `< k`.
     fn reference_search(minima: &[Key], k: Key) -> usize {
-        minima[1..].partition_point(|&m| m <= k)
+        minima[1..].partition_point(|&m| m < k)
     }
 
     fn probe_all(minima: &[Key], fanout: usize) {
@@ -209,7 +191,7 @@ mod tests {
         idx.check_against(minima);
         for probe in -2..(minima.len() as i64 * 10 + 2) {
             assert_eq!(
-                idx.search(probe),
+                idx.search_lower_bound(probe),
                 reference_search(minima, probe),
                 "n={} f={fanout} probe={probe}",
                 minima.len()
@@ -220,8 +202,8 @@ mod tests {
     #[test]
     fn single_segment_routes_everything_to_zero() {
         let idx = StaticIndex::build(&[0], 64);
-        assert_eq!(idx.search(i64::MIN), 0);
-        assert_eq!(idx.search(i64::MAX), 0);
+        assert_eq!(idx.search_lower_bound(i64::MIN), 0);
+        assert_eq!(idx.search_lower_bound(i64::MAX), 0);
         assert_eq!(idx.separator(0), None);
     }
 
@@ -262,8 +244,9 @@ mod tests {
         let mut idx = StaticIndex::build(&minima, 4);
         // Move segment 50's separator from 500 to 505.
         idx.update(50, 505);
-        assert_eq!(idx.search(504), 49);
-        assert_eq!(idx.search(505), 50);
+        assert_eq!(idx.search_lower_bound(504), 49);
+        assert_eq!(idx.search_lower_bound(505), 49);
+        assert_eq!(idx.search_lower_bound(506), 50);
         assert_eq!(idx.separator(50), Some(505));
     }
 
@@ -277,20 +260,24 @@ mod tests {
         }
         idx.check_against(&shifted);
         for probe in 0..700 {
-            assert_eq!(idx.search(probe), reference_search(&shifted, probe));
+            assert_eq!(
+                idx.search_lower_bound(probe),
+                reference_search(&shifted, probe)
+            );
         }
     }
 
     #[test]
     fn duplicate_separators_route_right() {
         // Empty segments inherit the next minimum, creating duplicate
-        // separators; equal keys must land in the rightmost segment.
+        // separators. Equal keys stop before the duplicates (the run's
+        // left end); only larger keys route right past them.
         let minima: Vec<Key> = vec![0, 10, 10, 10, 20];
         let idx = StaticIndex::build(&minima, 2);
-        assert_eq!(idx.search(10), 3);
-        assert_eq!(idx.search(9), 0);
-        assert_eq!(idx.search(15), 3);
-        assert_eq!(idx.search(20), 4);
+        assert_eq!(idx.search_lower_bound(10), 0);
+        assert_eq!(idx.search_lower_bound(9), 0);
+        assert_eq!(idx.search_lower_bound(15), 3);
+        assert_eq!(idx.search_lower_bound(20), 3);
     }
 
     #[test]
@@ -298,7 +285,7 @@ mod tests {
         let minima: Vec<Key> = vec![0, 10];
         let mut idx = StaticIndex::build(&minima, 64);
         idx.update(0, 999);
-        assert_eq!(idx.search(5), 0);
+        assert_eq!(idx.search_lower_bound(5), 0);
     }
 
     #[test]

@@ -12,6 +12,8 @@ use crate::{Key, Value};
 /// A sorted key/value container over a sparse array with fixed-size
 /// clustered segments, a static index, rewired rebalances and
 /// adaptive rebalancing. See the crate docs for the feature overview.
+/// Duplicate keys are kept, the newest leftmost (see
+/// [`insert`](Self::insert)).
 pub struct Rma {
     pub(crate) cfg: RmaConfig,
     pub(crate) storage: Storage,
@@ -107,12 +109,11 @@ impl Rma {
     // are fenced out, so nothing here may cache state or mutate
     // through interior mutability.
 
-    /// Returns a value stored under `k`, if any.
+    /// Returns the newest value stored under `k`, if any (see the
+    /// duplicate contract on [`insert`](Self::insert)).
     pub fn get(&self, k: Key) -> Option<Value> {
-        let seg = self.index.search(k);
-        let pos = self.storage.seg_lower_bound(seg, k);
-        let keys = self.storage.seg_keys(seg);
-        (pos < keys.len() && keys[pos] == k).then(|| self.storage.seg_vals(seg)[pos])
+        let (seg, pos) = self.locate_lower_bound(k)?;
+        (self.storage.seg_keys(seg)[pos] == k).then(|| self.storage.seg_vals(seg)[pos])
     }
 
     /// First element with key `>= k` in sorted order.
@@ -124,14 +125,14 @@ impl Rma {
         ))
     }
 
-    fn locate_lower_bound(&self, k: Key) -> Option<(usize, usize)> {
+    /// Position of the first element `>= k`: the one routing rule
+    /// every lookup, insert and delete shares. The index sends `k` to
+    /// the first segment that can hold an element `>= k`, so a
+    /// duplicate run spanning segments is entered at its left end.
+    pub(crate) fn locate_lower_bound(&self, k: Key) -> Option<(usize, usize)> {
         if self.len == 0 {
             return None;
         }
-        // Leftmost-biased routing: `search` routes equal keys right
-        // (correct for exact match), but a lower-bound must start at
-        // the first segment that can hold an element >= k, or
-        // duplicate runs spanning segments would be skipped.
         let mut seg = self.index.search_lower_bound(k);
         let pos = self.storage.seg_lower_bound(seg, k);
         if pos < self.storage.card(seg) {
@@ -219,12 +220,19 @@ impl Rma {
 
     /// Inserts `(k, v)`; duplicates are kept. Amortised
     /// `O(log²N / B)` slot moves per insertion.
+    ///
+    /// Duplicate contract: the newest duplicate is leftmost. The new
+    /// element goes to the global lower bound of `k`, ahead of every
+    /// element already stored under `k`; rebalances move runs without
+    /// reordering them. So [`get`](Self::get) returns the value
+    /// inserted last, [`remove`](Self::remove) pops duplicates newest
+    /// first, and scans yield a run newest to oldest.
     pub fn insert(&mut self, k: Key, v: Value) {
-        let mut seg = self.index.search(k);
+        let mut seg = self.index.search_lower_bound(k);
         if self.storage.card(seg) == self.cfg.segment_size {
             // τ₁ = 1: the segment filled completely; rebalance now.
             self.rebalance_for_insert(seg);
-            seg = self.index.search(k);
+            seg = self.index.search_lower_bound(k);
             debug_assert!(self.storage.card(seg) < self.cfg.segment_size);
         }
         let pos = self.storage.insert_into_segment(seg, k, v);
@@ -264,15 +272,11 @@ impl Rma {
 
     // ------------------------------------------------------ delete --
 
-    /// Removes one element with key exactly `k`, returning its value.
+    /// Removes the newest element with key exactly `k`, returning its
+    /// value.
     pub fn remove(&mut self, k: Key) -> Option<Value> {
-        if self.len == 0 {
-            return None;
-        }
-        let seg = self.index.search(k);
-        let pos = self.storage.seg_lower_bound(seg, k);
-        let keys = self.storage.seg_keys(seg);
-        if pos >= keys.len() || keys[pos] != k {
+        let (seg, pos) = self.locate_lower_bound(k)?;
+        if self.storage.seg_keys(seg)[pos] != k {
             return None;
         }
         Some(self.remove_at(seg, pos).1)
@@ -817,6 +821,57 @@ mod tests {
         assert_eq!(r.len(), 2000);
         assert!(r.get(7).is_some());
         assert_eq!(r.iter().filter(|&(k, _)| k == 7).count(), 1000);
+    }
+
+    /// The duplicate contract: the newest duplicate is leftmost, so
+    /// `get` returns the value inserted last even once the duplicate
+    /// run spans segments and rebalances triggered by other keys move
+    /// it, and `remove` pops duplicates newest first.
+    #[test]
+    fn get_sees_the_newest_duplicate() {
+        let mut r = Rma::new(RmaConfig {
+            segment_size: 16,
+            rewiring: RewiringMode::Disabled,
+            reserve_bytes: 1 << 26,
+            ..Default::default()
+        });
+        r.insert(0, 0);
+        for v in 1..=64i64 {
+            r.insert(0, v);
+            assert_eq!(r.get(0), Some(v), "after insert {v}");
+            r.insert(v, -v); // a fresh filler key between inserts
+            assert_eq!(r.get(0), Some(v), "after the filler following insert {v}");
+        }
+        r.check_invariants();
+        for v in (0..=64i64).rev() {
+            assert_eq!(r.remove(0), Some(v), "remove pops the newest first");
+        }
+        assert_eq!(r.get(0), None);
+    }
+
+    /// A batch ranks as the newest writes: its duplicates land ahead
+    /// of the stored ones in batch order, and reloading an RMA's own
+    /// iteration order reproduces it.
+    #[test]
+    fn bulk_duplicates_keep_the_newest_leftmost() {
+        let mut r = Rma::new(RmaConfig {
+            segment_size: 16,
+            ..small_cfg()
+        });
+        for v in 0..40i64 {
+            r.insert(5, v);
+            r.insert(v * 3, -v);
+        }
+        r.apply_batch(&[(5, 100), (5, 101), (6, 0)], &[5]);
+        assert_eq!(r.get(5), Some(100), "first batch entry is the newest");
+        r.check_invariants();
+        let order: Vec<(Key, Value)> = r.iter().collect();
+        let mut copy = Rma::new(small_cfg());
+        copy.load_bulk(&order);
+        assert_eq!(copy.iter().collect::<Vec<_>>(), order);
+        let fives: Vec<Value> = order.iter().filter(|e| e.0 == 5).map(|e| e.1).collect();
+        let want: Vec<Value> = [100, 101].into_iter().chain((0..39).rev()).collect();
+        assert_eq!(fives, want, "delete pass popped the newest (39)");
     }
 
     #[test]

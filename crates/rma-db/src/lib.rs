@@ -29,6 +29,16 @@
 //!   ([`EngineSnapshot`](rma_shard::EngineSnapshot)), the background
 //!   maintainer's counters and the router's throughput counters.
 //!
+//! # Duplicate keys
+//!
+//! Keys may repeat, and the newest duplicate is leftmost (the
+//! [`rma_core::Rma::insert`] contract, kept by every layer above it).
+//! [`Db::get`] returns the value inserted last under a key,
+//! [`Db::remove`] removes that one, and a scan yields a key's values
+//! newest first. A batch ([`Db::apply_batch`]) ranks as the newest
+//! writes, its first entry newest. Recovery through [`Db::open`]
+//! restores the same order from the checkpoints and the log tail.
+//!
 //! The engine stays public as the inner layer: [`Db::engine`] hands
 //! out the [`ShardedRma`] for control-plane work (explicit
 //! `maintain()`, invariant checks, benchmark instrumentation), and
@@ -87,6 +97,8 @@ mod session;
 
 pub use builder::{ConfigError, DbBuilder};
 pub use metrics::{MetricsSnapshot, ObsConfig, WalMetrics, OP_LATENCY_NAMES};
+pub use rma_shard::MaintainerSnapshot;
+pub use router::RouterSnapshot;
 pub use session::{Op, Reply, Session, Ticket};
 // The durability vocabulary callers need to configure
 // [`DbBuilder::durability`], re-exported so `rma-db` is a one-import
@@ -194,7 +206,7 @@ impl Db {
     /// independent: open one per client thread.
     pub fn session(&self) -> Session<'_> {
         let counters = self.router.counters();
-        counters.sessions.fetch_add(1, Relaxed);
+        counters.sessions_opened.fetch_add(1, Relaxed);
         Session {
             senders: self.router.clone_senders(),
             engine: &self.engine,
@@ -215,8 +227,7 @@ impl Db {
             .lock()
             .expect("maintainer lock poisoned")
             .take()?;
-        maintainer.stop();
-        self.maintainer_snapshot()
+        Some(maintainer.stop())
     }
 
     /// One coherent snapshot of everything observable: engine content
@@ -224,17 +235,10 @@ impl Db {
     /// counters, background-maintainer counters and router
     /// throughput.
     pub fn stats(&self) -> DbSnapshot {
-        let c = self.router.counters();
         DbSnapshot {
             engine: self.engine.stats_snapshot(),
-            maintainer: self.maintainer_snapshot(),
-            router: RouterSnapshot {
-                workers: self.router.workers(),
-                sessions_opened: c.sessions.load(Relaxed),
-                batches_submitted: c.batches.load(Relaxed),
-                ops_submitted: c.ops_submitted.load(Relaxed),
-                ops_executed: c.ops_executed.load(Relaxed),
-            },
+            maintainer: self.maintainer_stats.as_ref().map(|s| s.snapshot()),
+            router: self.router.counters().snapshot(),
         }
     }
 
@@ -266,21 +270,6 @@ impl Db {
                 degraded: w.is_degraded(),
             }),
         }
-    }
-
-    fn maintainer_snapshot(&self) -> Option<MaintainerSnapshot> {
-        self.maintainer_stats.as_ref().map(|s| MaintainerSnapshot {
-            polls: s.polls(),
-            runs: s.runs(),
-            relearns: s.relearns(),
-            splits: s.splits(),
-            merges: s.merges(),
-            nudges: s.nudges(),
-            steps: s.steps(),
-            checkpoints: s.checkpoints(),
-            steps_dropped: s.steps_dropped(),
-            consolidations: s.consolidations(),
-        })
     }
 
     /// Synchronous shard-count consolidation
@@ -411,7 +400,10 @@ impl std::fmt::Debug for Db {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Db")
             .field("shards", &self.engine.num_shards())
-            .field("router_workers", &self.router.workers())
+            .field(
+                "router_workers",
+                &self.router.counters().workers.load(Relaxed),
+            )
             .field(
                 "maintenance",
                 &self
@@ -438,36 +430,6 @@ pub struct DbSnapshot {
     pub router: RouterSnapshot,
 }
 
-/// Copy of the background maintainer's monotonic counters
-/// ([`rma_shard::MaintainerStats`]) at snapshot time. Remains
-/// available (with final values) after [`Db::stop_maintenance`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaintainerSnapshot {
-    /// Polls of the trigger signals.
-    pub polls: u64,
-    /// Escalations to maintenance (plans created or synchronous
-    /// passes run).
-    pub runs: u64,
-    /// Runs in which splitter re-learning engaged.
-    pub relearns: u64,
-    /// Shard splits performed.
-    pub splits: u64,
-    /// Shard merges performed.
-    pub merges: u64,
-    /// Boundary nudges performed.
-    pub nudges: u64,
-    /// Plan steps executed (incremental strategies).
-    pub steps: u64,
-    /// Durability checkpoints sealed by the maintainer.
-    pub checkpoints: u64,
-    /// Plan steps dropped un-executed by the scheduler's staleness
-    /// check (the world drifted; the maintainer re-planned).
-    pub steps_dropped: u64,
-    /// Merges executed by the idle-time consolidation chain (a
-    /// subset of `merges`).
-    pub consolidations: u64,
-}
-
 /// Errors from the checked direct-call write methods
 /// ([`Db::try_insert`], [`Db::try_remove`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -488,22 +450,6 @@ impl std::fmt::Display for DbError {
 }
 
 impl std::error::Error for DbError {}
-
-/// The request router's monotonic throughput counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterSnapshot {
-    /// Worker threads serving sessions.
-    pub workers: usize,
-    /// Sessions opened since the database was built.
-    pub sessions_opened: u64,
-    /// Batches accepted by [`Session::submit`].
-    pub batches_submitted: u64,
-    /// Operations accepted across all batches.
-    pub ops_submitted: u64,
-    /// Operations executed by the workers (lags `ops_submitted` by
-    /// the work currently in flight).
-    pub ops_executed: u64,
-}
 
 #[cfg(test)]
 mod tests {

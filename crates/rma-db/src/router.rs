@@ -20,7 +20,7 @@ use crate::session::{Op, Reply, TicketState};
 use rma_obs::EventKind;
 use rma_shard::ShardedRma;
 use rma_wal::Wal;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -43,14 +43,25 @@ pub(crate) enum WorkChunk {
     Partial(Vec<(u32, Op)>),
 }
 
-/// Router lifetime counters (all monotonic), surfaced through
-/// [`DbSnapshot::router`](crate::DbSnapshot).
-#[derive(Debug, Default)]
-pub(crate) struct RouterCounters {
-    pub(crate) sessions: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) ops_submitted: AtomicU64,
-    pub(crate) ops_executed: AtomicU64,
+rma_obs::metric_set! {
+    /// Router lifetime counters, surfaced through
+    /// [`DbSnapshot::router`](crate::DbSnapshot).
+    pub(crate) struct RouterCounters =>
+    /// The request router's monotonic throughput counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct RouterSnapshot {
+        /// Worker threads serving sessions.
+        workers: Gauge => "rma_router_workers",
+        /// Sessions opened since the database was built.
+        sessions_opened: Counter => "rma_sessions_opened_total",
+        /// Batches accepted by [`Session::submit`](crate::Session::submit).
+        batches_submitted: Counter => "rma_batches_submitted_total",
+        /// Operations accepted across all batches.
+        ops_submitted: Counter => "rma_ops_submitted_total",
+        /// Operations executed by the workers (lags `ops_submitted` by
+        /// the work currently in flight).
+        ops_executed: Counter => "rma_ops_executed_total",
+    }
 }
 
 /// The worker fleet: senders handed to sessions, join handles owned
@@ -81,6 +92,7 @@ impl Router {
     ) -> Router {
         debug_assert!(workers >= 1, "validated by the builder");
         let counters = Arc::new(RouterCounters::default());
+        counters.workers.store(workers as u64, Relaxed);
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -103,10 +115,6 @@ impl Router {
             counters,
             obs,
         }
-    }
-
-    pub(crate) fn workers(&self) -> usize {
-        self.workers.len()
     }
 
     pub(crate) fn counters(&self) -> &Arc<RouterCounters> {

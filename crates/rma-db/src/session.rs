@@ -467,7 +467,7 @@ impl Session<'_> {
             return Ticket { state };
         }
         self.refresh_routing();
-        self.counters.batches.fetch_add(1, Relaxed);
+        self.counters.batches_submitted.fetch_add(1, Relaxed);
         self.counters
             .ops_submitted
             .fetch_add(ops.len() as u64, Relaxed);

@@ -36,6 +36,9 @@
 //! protocol-level answer, not a dropped connection.
 
 use rma_db::{Op, Reply};
+/// CRC-32 (IEEE 802.3) — the WAL's checksum, re-exported so tests
+/// can craft checksum-valid malformed frames.
+pub use rma_wal::crc32;
 
 /// Hard cap on one frame's payload bytes. Bounds the memory one
 /// connection can demand before checksum validation, and therefore
@@ -131,37 +134,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// CRC-32 (IEEE 802.3), table-driven — the same checksum the WAL
-/// frames use, re-stated locally because 30 lines beat a cross-crate
-/// dependency on the durability subsystem. Public so tests can craft
-/// checksum-valid malformed frames.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ----------------------------------------------------- frame split --
 
@@ -500,12 +472,6 @@ mod tests {
             Frame::Payload { payload, consumed } => (payload, consumed),
             Frame::Incomplete => panic!("expected a whole frame"),
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

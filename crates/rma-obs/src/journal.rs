@@ -135,6 +135,20 @@ impl Event {
     pub const NO_SHARD: u32 = u32::MAX;
 }
 
+impl std::fmt::Display for Event {
+    /// `ts_ns=… kind=… shard=… dur_ns=… keys=…`, `shard=-` when the
+    /// event is not shard-scoped.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ts_ns={} kind={} shard=", self.ts_ns, self.kind.name())?;
+        if self.shard == Event::NO_SHARD {
+            write!(f, "-")?;
+        } else {
+            write!(f, "{}", self.shard)?;
+        }
+        write!(f, " dur_ns={} keys={}", self.dur_ns, self.keys)
+    }
+}
+
 /// One ring slot: a sequence word plus the event packed into four
 /// u64 words (`ts`, `kind | shard << 8`, `dur`, `keys`).
 ///

@@ -166,12 +166,16 @@ impl ShardedRma {
                         // Log under the shard lock, in apply order:
                         // `apply_batch` runs its delete pass before
                         // its insert pass, and replaying a delete of
-                        // an absent key is a no-op either way.
+                        // an absent key is a no-op either way. The
+                        // inserts are logged last to first: replay
+                        // inserts one at a time, each ahead of its
+                        // duplicates, which rebuilds the batch order
+                        // the bulk load stored.
                         if let Some(wal) = self.durability() {
                             for &k in &dels[i] {
                                 wal.append(DurabilityOp::Remove(k));
                             }
-                            for &(k, v) in &inserts[parts[i].clone()] {
+                            for &(k, v) in inserts[parts[i].clone()].iter().rev() {
                                 wal.append(DurabilityOp::Insert(k, v));
                             }
                         }

@@ -104,7 +104,7 @@
 //!     index.insert(k, k);
 //! }
 //! let stats = maintainer.stop(); // joins the thread deterministically
-//! println!("background maintenance ran {} times", stats.runs());
+//! println!("background maintenance ran {} times", stats.runs);
 //! assert_eq!(index.len(), 1000);
 //! ```
 
@@ -123,7 +123,7 @@ pub mod splitter;
 pub use access::AccessStats;
 pub use config::{BalancePolicy, ConfigError, RelearnStrategy, ShardConfig};
 pub use durability::{DurabilityOp, DurabilitySink};
-pub use maintainer::{Maintainer, MaintainerConfig, MaintainerStats};
+pub use maintainer::{Maintainer, MaintainerConfig, MaintainerSnapshot, MaintainerStats};
 pub use maintenance::{
     DrainReport, MaintenancePlan, MaintenanceReport, MaintenanceStep, RelearnReport, ShardStats,
     StepReport,
@@ -132,10 +132,12 @@ pub use obs::EngineObs;
 pub use shard::LockStats;
 pub use splitter::Splitters;
 
-use optimistic::{TopoGuard, TopoHandle};
+use optimistic::{RetiredTopology, TopoGuard, TopoHandle};
 use rma_core::{Key, Value};
 use shard::{ShardWriteGuard, Topology};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    fence, AtomicU64, Ordering::Acquire, Ordering::Relaxed, Ordering::Release, Ordering::SeqCst,
+};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shard-local operations between advances of the shared decay clock
@@ -147,38 +149,44 @@ pub(crate) const DECAY_TICK_BATCH: u64 = 64;
 const ADAPTIVE_DECAY_MIN: u64 = 256;
 const ADAPTIVE_DECAY_MAX: u64 = 1 << 26;
 
-/// One coherent snapshot of the engine's observable state, produced
-/// by [`ShardedRma::stats_snapshot`]. Everything the five historic
-/// getters returned, in one read: content totals, the access-balance
-/// signal, the lock-freedom proof counters, and the maintenance plan
-/// engine's lifetime counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineSnapshot {
-    /// Stored elements across all shards.
-    pub len: usize,
-    /// Shards in the live topology.
-    pub num_shards: usize,
-    /// Resident bytes across all shards.
-    pub memory_footprint: usize,
-    /// Bytes held by the splitter array the router searches — grows
-    /// with the live shard count, shrinks under consolidation.
-    pub splitter_bytes: usize,
-    /// Operations recorded on the shared decay clock (in
-    /// `DECAY_TICK_BATCH`-sized granules for point ops).
-    pub op_count: u64,
-    /// Max/mean decayed access mass across shards (`1.0` = balanced).
-    pub access_imbalance: f64,
-    /// Shared `RwLock` acquisitions since construction — stays flat
-    /// while the optimistic read path is winning.
-    pub read_locks: u64,
-    /// Exclusive `RwLock` acquisitions since construction.
-    pub write_locks: u64,
-    /// Failed seqlock read attempts since construction (each is one
-    /// retry or one step toward the lock fallback) — the contention
-    /// signal behind flat lock counters.
-    pub seqlock_retries: u64,
-    /// The incremental maintenance engine's lifetime counters.
-    pub maintenance: MaintenanceStats,
+/// Attempts [`ShardedRma::masses_of`] makes to read between decay
+/// sweeps; the pauses between them sum to about 0.2 s.
+const MASS_READ_RETRIES: u32 = 200;
+
+rma_obs::metric_set! {
+    /// One coherent snapshot of the engine's observable state, produced
+    /// by [`ShardedRma::stats_snapshot`]. Everything the five historic
+    /// getters returned, in one read: content totals, the access-balance
+    /// signal, the lock-freedom proof counters, and the maintenance plan
+    /// engine's lifetime counters.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EngineSnapshot {
+        /// Stored elements across all shards.
+        len: usize => Gauge "rma_len",
+        /// Shards in the live topology.
+        num_shards: usize => Gauge "rma_shards",
+        /// Resident bytes across all shards.
+        memory_footprint: usize => Gauge "rma_memory_bytes",
+        /// Bytes held by the splitter array the router searches — grows
+        /// with the live shard count, shrinks under consolidation.
+        splitter_bytes: usize => Gauge "rma_splitter_bytes",
+        /// Operations recorded on the shared decay clock (in
+        /// `DECAY_TICK_BATCH`-sized granules for point ops).
+        op_count: u64 => Counter "rma_op_clock_total",
+        /// Max/mean decayed access mass across shards (`1.0` = balanced).
+        access_imbalance: f64 => Gauge "rma_access_imbalance",
+        /// Shared `RwLock` acquisitions since construction — stays flat
+        /// while the optimistic read path is winning.
+        read_locks: u64 => Counter "rma_read_locks_total",
+        /// Exclusive `RwLock` acquisitions since construction.
+        write_locks: u64 => Counter "rma_write_locks_total",
+        /// Failed seqlock read attempts since construction (each is one
+        /// retry or one step toward the lock fallback) — the contention
+        /// signal behind flat lock counters.
+        seqlock_retries: u64 => Counter "rma_seqlock_retries_total",
+        /// The incremental maintenance engine's lifetime counters.
+        maintenance: MaintenanceStats,
+    }
 }
 
 /// A concurrent, key-range-sharded collection of [`rma_core::Rma`]s.
@@ -201,6 +209,12 @@ pub struct ShardedRma {
     /// The live decay period: starts at `cfg.decay_every`, retuned by
     /// the background maintainer when `cfg.adaptive_decay` is set.
     decay_period: AtomicU64,
+    /// Decay sweeps begun and finished. A sweep halves the shards one
+    /// at a time, so readers of the masses validate against this pair,
+    /// seqlock-style, to read only between sweeps (see
+    /// [`masses_of`](Self::masses_of)).
+    sweeps_begun: AtomicU64,
+    sweeps_done: AtomicU64,
     lock_stats: Arc<LockStats>,
     /// Counters behind [`maintenance_stats`](Self::maintenance_stats):
     /// bumped by the plan engine and the batch re-route path.
@@ -214,63 +228,53 @@ pub struct ShardedRma {
     wal: Option<Arc<dyn DurabilitySink>>,
 }
 
-/// Internal atomics behind [`MaintenanceStats`].
-#[derive(Debug, Default)]
-pub(crate) struct MaintCounters {
-    pub(crate) plans: AtomicU64,
-    pub(crate) steps_planned: AtomicU64,
-    pub(crate) steps_executed: AtomicU64,
-    pub(crate) steps_skipped: AtomicU64,
-    pub(crate) steps_dropped: AtomicU64,
-    pub(crate) keys_migrated: AtomicU64,
-    pub(crate) nudges: AtomicU64,
-    pub(crate) max_step_ns: AtomicU64,
-    pub(crate) batch_reroutes: AtomicU64,
-    pub(crate) write_reroutes: AtomicU64,
-}
-
-/// Snapshot of the incremental maintenance engine's lifetime
-/// counters ([`ShardedRma::maintenance_stats`]). All counts are
-/// monotonic since construction.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MaintenanceStats {
-    /// Non-empty [`MaintenancePlan`]s produced by the planners.
-    pub plans: u64,
-    /// Steps emitted into plans.
-    pub steps_planned: u64,
-    /// Steps that executed and published a topology (or validated as
-    /// an exact no-op).
-    pub steps_executed: u64,
-    /// Steps skipped as stale (the topology moved between planning
-    /// and execution).
-    pub steps_skipped: u64,
-    /// Steps dropped un-executed by the scheduler's staleness check:
-    /// the live shard count or access masses drifted past the drift
-    /// bound, so the plan's remaining tail was discarded and the
-    /// caller re-planned instead.
-    pub steps_dropped: u64,
-    /// Elements moved into rebuilt shards across all executed steps
-    /// (a nudge counts only the migrated range; a rebuild counts the
-    /// rebuilt range's residents).
-    pub keys_migrated: u64,
-    /// Executed [`MaintenanceStep::NudgeBoundary`] steps.
-    pub nudges: u64,
-    /// Copy-on-write topologies published since construction
-    /// (maintenance steps of every kind, including monolithic
-    /// re-learns).
-    pub topologies_published: u64,
-    /// Worst time one executed step held its shard write locks, in
-    /// nanoseconds (drain + rebuild + publish; shell pre-creation and
-    /// the reader grace wait run outside the locks and are excluded)
-    /// — the bound on how long a writer could have queued behind
-    /// maintenance.
-    pub max_step_wall_ns: u64,
-    /// `apply_batch` rounds that had to re-route leftovers after a
-    /// step retired their target shard mid-flight.
-    pub batch_reroutes: u64,
-    /// Single-key mutations that reached a retired shard and had to
-    /// re-route through a fresh topology.
-    pub write_reroutes: u64,
+rma_obs::metric_set! {
+    /// Internal atomics behind [`MaintenanceStats`]: bumped by the plan
+    /// engine, topology publication and the re-route paths.
+    pub(crate) struct MaintCounters =>
+    /// Snapshot of the incremental maintenance engine's lifetime
+    /// counters ([`ShardedRma::maintenance_stats`]). All counts are
+    /// monotonic since construction.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct MaintenanceStats {
+        /// Non-empty [`MaintenancePlan`]s produced by the planners.
+        plans: Counter => "rma_maintenance_plans_total",
+        /// Steps emitted into plans.
+        steps_planned: Counter => "rma_maintenance_steps_planned_total",
+        /// Steps that executed and published a topology (or validated
+        /// as an exact no-op).
+        steps_executed: Counter => "rma_maintenance_steps_executed_total",
+        /// Steps skipped as stale (the topology moved between planning
+        /// and execution).
+        steps_skipped: Counter => "rma_maintenance_steps_skipped_total",
+        /// Steps dropped un-executed by the scheduler's staleness
+        /// check: the live shard count or access masses drifted past
+        /// the drift bound, so the plan's remaining tail was discarded
+        /// and the caller re-planned instead.
+        steps_dropped: Counter => "rma_maintenance_steps_dropped_total",
+        /// Elements moved into rebuilt shards across all executed
+        /// steps (a nudge counts only the migrated range; a rebuild
+        /// counts the rebuilt range's residents).
+        keys_migrated: Counter => "rma_maintenance_keys_migrated_total",
+        /// Executed [`MaintenanceStep::NudgeBoundary`] steps.
+        nudges: Counter => "rma_maintenance_nudges_total",
+        /// Copy-on-write topologies published since construction
+        /// (maintenance steps of every kind, including monolithic
+        /// re-learns).
+        topologies_published: Counter => "rma_topologies_published_total",
+        /// Worst time one executed step held its shard write locks, in
+        /// nanoseconds (drain + rebuild + publish; shell pre-creation
+        /// and the reader grace wait run outside the locks and are
+        /// excluded) — the bound on how long a writer could have
+        /// queued behind maintenance.
+        max_step_wall_ns: Counter => "rma_max_step_wall_ns",
+        /// `apply_batch` rounds that had to re-route leftovers after a
+        /// step retired their target shard mid-flight.
+        batch_reroutes: Counter => "rma_batch_reroutes_total",
+        /// Single-key mutations that reached a retired shard and had
+        /// to re-route through a fresh topology.
+        write_reroutes: Counter => "rma_write_reroutes_total",
+    }
 }
 
 impl ShardedRma {
@@ -297,6 +301,8 @@ impl ShardedRma {
             maint_lock: Mutex::new(()),
             op_clock: AtomicU64::new(0),
             decay_period: AtomicU64::new(cfg.decay_every),
+            sweeps_begun: AtomicU64::new(0),
+            sweeps_done: AtomicU64::new(0),
             lock_stats,
             maint_counters: MaintCounters::default(),
             obs: EngineObs::default(),
@@ -380,11 +386,43 @@ impl ShardedRma {
             return;
         }
         let crossings = ((prev + n) / period - prev / period).min(64);
+        if crossings == 0 {
+            return;
+        }
+        self.sweeps_begun.fetch_add(1, SeqCst);
+        fence(Release);
         for _ in 0..crossings {
             for shard in &topo.shards {
                 shard.stats.decay();
             }
         }
+        self.sweeps_done.fetch_add(1, SeqCst);
+    }
+
+    /// The decayed access mass of every shard of `topo`, read between
+    /// decay sweeps so a reader never mixes halved and unhalved shards
+    /// (which on uniform traffic reads as an imbalance up to 2.0).
+    /// Seqlock-style: no sweep may be in flight when the read starts
+    /// or begin while it runs, else it retries with a growing pause.
+    /// Sweeps never wait for readers, so the op path takes no lock;
+    /// after [`MASS_READ_RETRIES`] attempts the last read is returned
+    /// as is.
+    pub(crate) fn masses_of(&self, topo: &Topology) -> Vec<u64> {
+        let mut masses = Vec::new();
+        for attempt in 0..MASS_READ_RETRIES {
+            if attempt > 0 {
+                std::thread::sleep(std::time::Duration::from_micros(1 << attempt.min(10)));
+            }
+            let done = self.sweeps_done.load(SeqCst);
+            let begun = self.sweeps_begun.load(SeqCst);
+            masses.clear();
+            masses.extend(topo.shards.iter().map(|s| s.stats.total()));
+            fence(Acquire);
+            if begun == done && self.sweeps_begun.load(SeqCst) == begun {
+                break;
+            }
+        }
+        masses
     }
 
     /// Total operations recorded on the shared clock (in
@@ -439,26 +477,22 @@ impl ShardedRma {
         &self.maint_counters
     }
 
+    /// Publishes `next` as the current topology (see
+    /// [`TopoHandle::publish`]) and counts the publication.
+    pub(crate) fn publish(&self, next: Topology) -> RetiredTopology {
+        self.maint_counters
+            .topologies_published
+            .fetch_add(1, Relaxed);
+        self.handle.publish(next)
+    }
+
     /// Lifetime counters of the incremental maintenance engine: plans
     /// and steps (planned / executed / skipped), elements migrated,
     /// topologies published, and the worst single-step wall time —
     /// the observable proof that maintenance proceeds in bounded
     /// steps rather than monolithic stalls.
     pub fn maintenance_stats(&self) -> MaintenanceStats {
-        let c = &self.maint_counters;
-        MaintenanceStats {
-            plans: c.plans.load(Relaxed),
-            steps_planned: c.steps_planned.load(Relaxed),
-            steps_executed: c.steps_executed.load(Relaxed),
-            steps_skipped: c.steps_skipped.load(Relaxed),
-            steps_dropped: c.steps_dropped.load(Relaxed),
-            keys_migrated: c.keys_migrated.load(Relaxed),
-            nudges: c.nudges.load(Relaxed),
-            topologies_published: self.handle.publications(),
-            max_step_wall_ns: c.max_step_ns.load(Relaxed),
-            batch_reroutes: c.batch_reroutes.load(Relaxed),
-            write_reroutes: c.write_reroutes.load(Relaxed),
-        }
+        self.maint_counters.snapshot()
     }
 
     /// One coherent observability snapshot: gathers what used to take
@@ -479,7 +513,6 @@ impl ShardedRma {
         let topo = self.topo();
         let mut len = 0usize;
         let mut memory_footprint = 0usize;
-        let mut masses = Vec::with_capacity(topo.shards.len());
         for shard in &topo.shards {
             let (l, m) = shard
                 .try_optimistic(|rma| (rma.len(), rma.memory_footprint()))
@@ -489,15 +522,8 @@ impl ShardedRma {
                 });
             len += l;
             memory_footprint += m;
-            masses.push(shard.stats.total());
         }
-        let total_mass: u64 = masses.iter().sum();
-        let access_imbalance = if total_mass == 0 {
-            1.0
-        } else {
-            let mean = total_mass as f64 / masses.len() as f64;
-            *masses.iter().max().expect("at least one shard") as f64 / mean
-        };
+        let access_imbalance = imbalance(&self.masses_of(&topo));
         EngineSnapshot {
             len,
             num_shards: topo.shards.len(),
@@ -644,8 +670,7 @@ impl ShardedRma {
     /// Decayed access mass per shard, in shard order — the signal
     /// maintenance balances on.
     pub fn access_masses(&self) -> Vec<u64> {
-        let topo = self.topo();
-        topo.shards.iter().map(|s| s.stats.total()).collect()
+        self.masses_of(&self.topo())
     }
 
     /// Length of the largest shard (lock-free estimate: optimistic
@@ -664,13 +689,7 @@ impl ShardedRma {
     /// Max/mean access imbalance across shards: `1.0` is perfectly
     /// balanced; returns `1.0` when no access has been recorded.
     pub fn access_imbalance(&self) -> f64 {
-        let masses = self.access_masses();
-        let total: u64 = masses.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f64 / masses.len() as f64;
-        *masses.iter().max().expect("at least one shard") as f64 / mean
+        imbalance(&self.access_masses())
     }
 
     /// Zeroes every shard's access histogram and the decay clock
@@ -711,6 +730,16 @@ impl ShardedRma {
             }
         }
     }
+}
+
+/// Max/mean of `masses`; `1.0` when nothing was recorded.
+fn imbalance(masses: &[u64]) -> f64 {
+    let total: u64 = masses.iter().sum();
+    if total == 0 {
+        return 1.0;
+    }
+    let mean = total as f64 / masses.len() as f64;
+    *masses.iter().max().expect("at least one shard") as f64 / mean
 }
 
 #[cfg(test)]
@@ -809,6 +838,68 @@ mod tests {
         // One 256-op batch spans four decay periods: the clock must
         // apply all four halvings, not one. 256 → 16.
         assert_eq!(s.access_masses().iter().sum::<u64>(), 16);
+    }
+
+    /// A decay sweep halves the shards' histograms one shard at a
+    /// time. Readers of the masses must see the state before or after
+    /// a sweep, never the mix: on equal masses a half-halved read
+    /// reports an imbalance up to 2.0 where the truth is 1.0.
+    #[test]
+    fn access_masses_never_read_a_half_decayed_sweep() {
+        const SHARDS: i64 = 64;
+        const PER_SHARD: i64 = 512;
+        for round in 0..6 {
+            let mut cfg = small_cfg(SHARDS as usize);
+            // Wide histograms make one sweep long enough to overlap
+            // several reads.
+            cfg.hist_buckets = 1 << 14;
+            // The set-up batch stops one op per shard short of the
+            // period; the trigger batch crosses it exactly once.
+            cfg.decay_every = (SHARDS * (PER_SHARD + 1)) as u64;
+            let s = ShardedRma::with_splitters(
+                cfg,
+                Splitters::new((1..SHARDS).map(|i| i * 1000).collect()),
+            );
+            // One key per shard: one bucket each, so halving is exact.
+            let setup: Vec<(Key, Value)> = (0..SHARDS)
+                .flat_map(|i| (0..PER_SHARD).map(move |j| (i * 1000, j)))
+                .collect();
+            s.apply_batch(&setup, &[]);
+            assert_eq!(s.access_imbalance(), 1.0);
+
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let reads = std::sync::atomic::AtomicU64::new(0);
+            let worst = std::thread::scope(|sc| {
+                let reader = sc.spawn(|| {
+                    let mut worst = 0.0f64;
+                    while !done.load(Relaxed) {
+                        worst = worst.max(s.access_imbalance());
+                        reads.fetch_add(1, Relaxed);
+                    }
+                    worst
+                });
+                while reads.load(Relaxed) == 0 {
+                    std::hint::spin_loop();
+                }
+                let trigger: Vec<(Key, Value)> = (0..SHARDS).map(|i| (i * 1000, 0)).collect();
+                s.apply_batch(&trigger, &[]);
+                done.store(true, Relaxed);
+                reader.join().expect("reader panicked")
+            });
+            // PER_SHARD + 1 accesses per shard, halved exactly once.
+            let halved = (PER_SHARD as u64 + 1) >> 1;
+            assert_eq!(
+                s.access_masses(),
+                vec![halved; SHARDS as usize],
+                "exactly one sweep ran"
+            );
+            // Consistent states differ by at most one access per
+            // shard: an imbalance of (256 + 1) / 256.
+            assert!(
+                worst < 1.01,
+                "round {round}: torn sweep read, imbalance {worst}"
+            );
+        }
     }
 
     #[test]

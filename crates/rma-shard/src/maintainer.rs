@@ -56,7 +56,7 @@
 //! consistent topology; the next maintainer simply re-plans.
 
 use crate::{ConfigError, MaintenancePlan, MaintenanceStep, RelearnStrategy, ShardedRma};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -182,69 +182,47 @@ impl MaintainerConfig {
     }
 }
 
-/// Counters published by the maintainer thread (all monotonic).
-#[derive(Debug, Default)]
-pub struct MaintainerStats {
-    polls: AtomicU64,
-    runs: AtomicU64,
-    relearns: AtomicU64,
-    splits: AtomicU64,
-    merges: AtomicU64,
-    nudges: AtomicU64,
-    steps: AtomicU64,
-    checkpoints: AtomicU64,
-    steps_dropped: AtomicU64,
-    consolidations: AtomicU64,
+rma_obs::metric_set! {
+    /// Counters published by the maintainer thread (all monotonic).
+    pub struct MaintainerStats =>
+    /// Copy of the background maintainer's counters at snapshot time
+    /// ([`MaintainerStats::snapshot`]).
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct MaintainerSnapshot {
+        /// Polls of the trigger signals.
+        polls: Counter => "rma_maintainer_polls_total",
+        /// Escalations to maintenance (plans created, or synchronous
+        /// `maintain()` calls under the monolithic strategy).
+        runs: Counter => "rma_maintainer_runs_total",
+        /// Runs in which splitter re-learning engaged (a re-learn plan
+        /// was created, or the monolithic pass actually re-learned).
+        relearns: Counter => "rma_maintainer_relearns_total",
+        /// Shard splits performed across all runs.
+        splits: Counter => "rma_maintainer_splits_total",
+        /// Shard merges performed across all runs.
+        merges: Counter => "rma_maintainer_merges_total",
+        /// Boundary nudges performed across all runs.
+        nudges: Counter => "rma_maintainer_nudges_total",
+        /// Plan steps that executed (stale skips excluded) across all
+        /// runs — incremental mode only; mirrors
+        /// [`MaintenanceStats::steps_executed`](crate::MaintenanceStats).
+        steps: Counter => "rma_maintainer_steps_total",
+        /// Checkpoints sealed across all runs (durability cadence).
+        checkpoints: Counter => "rma_maintainer_checkpoints_total",
+        /// Plan steps dropped un-executed by the scheduler's staleness
+        /// check across all runs — mirrors
+        /// [`MaintenanceStats::steps_dropped`](crate::MaintenanceStats)
+        /// for the plans this thread drained.
+        steps_dropped: Counter => "rma_maintainer_steps_dropped_total",
+        /// Merges executed by the idle-time consolidation chain (a
+        /// subset of `merges`).
+        consolidations: Counter => "rma_maintainer_consolidations_total",
+    }
 }
 
-impl MaintainerStats {
-    /// Polls of the trigger signals.
-    pub fn polls(&self) -> u64 {
-        self.polls.load(Relaxed)
-    }
-    /// Escalations to maintenance (plans created, or synchronous
-    /// `maintain()` calls under the monolithic strategy).
-    pub fn runs(&self) -> u64 {
-        self.runs.load(Relaxed)
-    }
-    /// Runs in which splitter re-learning engaged (a re-learn plan
-    /// was created, or the monolithic pass actually re-learned).
-    pub fn relearns(&self) -> u64 {
-        self.relearns.load(Relaxed)
-    }
-    /// Shard splits performed across all runs.
-    pub fn splits(&self) -> u64 {
-        self.splits.load(Relaxed)
-    }
-    /// Shard merges performed across all runs.
-    pub fn merges(&self) -> u64 {
-        self.merges.load(Relaxed)
-    }
-    /// Boundary nudges performed across all runs.
-    pub fn nudges(&self) -> u64 {
-        self.nudges.load(Relaxed)
-    }
-    /// Plan steps that executed (stale skips excluded) across all
-    /// runs — incremental mode only; mirrors
-    /// [`MaintenanceStats::steps_executed`](crate::MaintenanceStats).
-    pub fn steps(&self) -> u64 {
-        self.steps.load(Relaxed)
-    }
-    /// Checkpoints sealed across all runs (durability cadence).
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints.load(Relaxed)
-    }
-    /// Plan steps dropped un-executed by the scheduler's staleness
-    /// check across all runs — mirrors
-    /// [`MaintenanceStats::steps_dropped`](crate::MaintenanceStats)
-    /// for the plans this thread drained.
-    pub fn steps_dropped(&self) -> u64 {
-        self.steps_dropped.load(Relaxed)
-    }
-    /// Merges executed by the idle-time consolidation chain (a subset
-    /// of [`merges`](Self::merges)).
-    pub fn consolidations(&self) -> u64 {
-        self.consolidations.load(Relaxed)
+impl std::fmt::Display for MaintainerSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        rma_obs::write_line(f, "maintainer", self.metrics())
     }
 }
 
@@ -270,9 +248,9 @@ impl Maintainer {
     }
 
     /// Signals the thread, joins it, and returns the final counters.
-    pub fn stop(mut self) -> Arc<MaintainerStats> {
+    pub fn stop(mut self) -> MaintainerSnapshot {
         self.shutdown();
-        Arc::clone(&self.stats)
+        self.stats.snapshot()
     }
 
     fn shutdown(&mut self) {
@@ -412,7 +390,7 @@ fn maintainer_loop(
         }
         stats.polls.fetch_add(1, Relaxed);
         let tick_t0 = if obs_on { rma_obs::now_ns() } else { 0 };
-        let (steps_before, runs_before) = (stats.steps(), stats.runs());
+        let (steps_before, runs_before) = (stats.steps.load(Relaxed), stats.runs.load(Relaxed));
         'tick: {
             let ops = index.op_count();
             let elapsed = last_poll.elapsed().as_secs_f64();
@@ -549,8 +527,8 @@ fn maintainer_loop(
             // Journal only ticks that made progress (drained steps or
             // created a plan): idle polls would drown the structural
             // events the bounded ring exists to retain.
-            let steps_done = stats.steps() - steps_before;
-            if steps_done > 0 || stats.runs() > runs_before {
+            let steps_done = stats.steps.load(Relaxed) - steps_before;
+            if steps_done > 0 || stats.runs.load(Relaxed) > runs_before {
                 index.obs().log(
                     rma_obs::EventKind::MaintTick,
                     rma_obs::Event::NO_SHARD,
@@ -567,6 +545,7 @@ mod tests {
     use super::*;
     use crate::tests::small_cfg;
     use crate::{ShardedRma, Splitters};
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn maintainer_starts_and_stops_cleanly() {
@@ -577,7 +556,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(20));
         let stats = m.stop();
-        assert!(stats.polls() > 0, "thread never polled");
+        assert!(stats.polls > 0, "thread never polled");
     }
 
     #[test]
@@ -600,7 +579,7 @@ mod tests {
             for k in 0..500i64 {
                 s.insert(k, k);
             }
-            if m.stats().steps() > 0 {
+            if m.stats().snapshot().steps > 0 {
                 let _ = round;
                 break;
             }
@@ -608,15 +587,15 @@ mod tests {
         }
         let stats = m.stop();
         assert!(
-            stats.runs() > 0,
+            stats.runs > 0,
             "maintainer never planned: polls={} imbalance={}",
-            stats.polls(),
+            stats.polls,
             s.access_imbalance()
         );
-        assert!(stats.steps() > 0, "maintainer never executed a step");
+        assert!(stats.steps > 0, "maintainer never executed a step");
         s.check_invariants();
         assert!(
-            s.num_shards() > 4 || stats.relearns() > 0 || stats.nudges() > 0,
+            s.num_shards() > 4 || stats.relearns > 0 || stats.nudges > 0,
             "maintenance ran but changed nothing: {stats:?}"
         );
     }
@@ -691,7 +670,7 @@ mod tests {
             s.num_shards()
         );
         assert!(
-            stats.consolidations() > 0,
+            stats.consolidations > 0,
             "consolidation merges must be counted: {stats:?}"
         );
         assert_eq!(s.len(), 1600, "compaction must not lose data");
@@ -754,7 +733,7 @@ mod tests {
             stop_load.store(true, Relaxed);
             loader.join().expect("loader thread");
             let starved = max_gap_ns.load(Relaxed) >= poll.as_nanos() as u64;
-            if stats.consolidations() == 0 {
+            if stats.consolidations == 0 {
                 assert_eq!(s.num_shards(), 8);
                 return; // the gate held under sustained load
             }
@@ -829,14 +808,14 @@ mod tests {
             for k in 0..500i64 {
                 s.insert(k, k);
             }
-            if m.stats().runs() > 0 {
+            if m.stats().snapshot().runs > 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
         let stats = m.stop();
-        assert!(stats.runs() > 0, "monolithic maintainer never ran");
-        assert_eq!(stats.steps(), 0, "monolithic mode bypasses the plan engine");
+        assert!(stats.runs > 0, "monolithic maintainer never ran");
+        assert_eq!(stats.steps, 0, "monolithic mode bypasses the plan engine");
         s.check_invariants();
     }
 }

@@ -232,14 +232,14 @@ impl ShardedRma {
     fn publish_step(&self, guards: StepGuards<'_>, next: Topology) {
         guards.retire_all();
         let next_shards = next.shards.len() as u64;
-        let retired = self.topo_handle().publish(next);
+        let retired = self.publish(next);
         // The locked window ends here: record it just before release.
         // Shell pre-creation and the grace wait below run outside the
         // locks, so they are deliberately *not* part of this stat —
         // it bounds what a queued writer could have waited.
         let held_ns = guards.held().as_nanos() as u64;
         self.maint_counters()
-            .max_step_ns
+            .max_step_wall_ns
             .fetch_max(held_ns, Relaxed);
         self.obs().log(
             EventKind::TopologyPublish,

@@ -33,7 +33,7 @@ impl ShardedRma {
             shards_after: n,
             ..Default::default()
         };
-        let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
+        let masses = self.masses_of(topo);
         let total: u64 = masses.iter().sum();
         if total == 0 {
             return report; // no signal to learn from
@@ -76,7 +76,7 @@ impl ShardedRma {
         for guard in &guards {
             guard.retire();
         }
-        let retired = self.topo_handle().publish(Topology {
+        let retired = self.publish(Topology {
             splitters: candidate,
             shards,
         });

@@ -317,7 +317,7 @@ impl ShardedRma {
         let topo = self.topo();
         let policy = self.cfg.balance;
         let lens: Vec<usize> = topo.shards.iter().map(|s| s.read().len()).collect();
-        let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
+        let masses = self.masses_of(&topo);
         let weights = Self::balance_weights(&lens, &masses, policy);
         let total: u64 = weights.iter().sum();
         let n = weights.len();
@@ -403,7 +403,7 @@ impl ShardedRma {
             shards_after: n,
             ..Default::default()
         };
-        let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
+        let masses = self.masses_of(&topo);
         let total: u64 = masses.iter().sum();
         if total == 0 {
             // No signal to learn from.
@@ -537,7 +537,7 @@ impl ShardedRma {
             return self.finish_plan(Vec::new(), PlanKind::Consolidation, report);
         }
         let lens: Vec<usize> = topo.shards.iter().map(|s| s.read().len()).collect();
-        let masses: Vec<u64> = topo.shards.iter().map(|s| s.stats.total()).collect();
+        let masses = self.masses_of(&topo);
         let bound = self.consolidation_bound();
         // Mergeable neighbour pairs, coldest combined mass first (ties
         // break leftmost for determinism).

@@ -119,10 +119,6 @@ pub(crate) struct TopoHandle {
     generation: AtomicU64,
     /// Reader registration counters, indexed by generation parity.
     pins: [AtomicU64; 2],
-    /// Total successful publications — the
-    /// [`MaintenanceStats::topologies_published`](crate::MaintenanceStats)
-    /// feed (each incremental step publishes exactly one).
-    publications: AtomicU64,
 }
 
 /// A displaced topology awaiting its grace period. Returned by
@@ -146,13 +142,7 @@ impl TopoHandle {
             current: AtomicPtr::new(Box::into_raw(Box::new(topo))),
             generation: AtomicU64::new(0),
             pins: [AtomicU64::new(0), AtomicU64::new(0)],
-            publications: AtomicU64::new(0),
         }
-    }
-
-    /// Topologies published since construction.
-    pub(crate) fn publications(&self) -> u64 {
-        self.publications.load(SeqCst)
     }
 
     /// Acquires the current topology without locking. The guard keeps
@@ -201,7 +191,6 @@ impl TopoHandle {
         let generation = self.generation.load(SeqCst);
         let ptr = self.current.swap(Box::into_raw(Box::new(next)), SeqCst);
         self.generation.store(generation.wrapping_add(1), SeqCst);
-        self.publications.fetch_add(1, SeqCst);
         RetiredTopology { ptr, generation }
     }
 

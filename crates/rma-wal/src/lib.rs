@@ -58,6 +58,7 @@ mod recover;
 mod segment;
 
 pub use fault::{FaultInjector, FaultMode, IoClass};
+pub use record::crc32;
 pub use recover::Recovery;
 
 use checkpoint::ManifestState;

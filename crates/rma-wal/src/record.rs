@@ -22,10 +22,12 @@ pub(crate) const PAYLOAD_LEN: usize = 8 + 1 + 8 + 8;
 /// Full framed size of one record.
 pub(crate) const FRAME_LEN: usize = 4 + 4 + PAYLOAD_LEN;
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven. Local
-/// implementation — the build environment has no registry, and 30
-/// lines beat a vendored crate.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven: the
+/// workspace's one checksum, shared by the log records, the
+/// checkpoint files and the network frames. Local implementation —
+/// the build environment has no registry, and 30 lines beat a
+/// vendored crate.
+pub fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
         let mut i = 0;

@@ -36,9 +36,11 @@
 //!   thread that readers never block behind;
 //! * [`obs`] — the **observability core**: lock-free log₂-bucketed
 //!   latency histograms (mergeable, bounded-error quantiles), a
-//!   bounded MPSC maintenance-event journal, static counters/gauges,
-//!   and cheap monotonic timestamps — everything
-//!   [`Db::metrics`](rma_db::Db::metrics) is assembled from;
+//!   bounded MPSC maintenance-event journal, the `metric_set!`
+//!   declaration every counter set is written with plus the one
+//!   exposition writer that renders them, and cheap monotonic
+//!   timestamps — everything [`Db::metrics`](rma_db::Db::metrics) is
+//!   assembled from;
 //! * [`wal`] — the **durability subsystem**: group-committed
 //!   per-partition write-ahead logs (length-prefixed, checksummed
 //!   records), maintenance-sealed checkpoints with an atomically

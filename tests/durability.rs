@@ -428,6 +428,62 @@ fn degraded_mode_refuses_writes_serves_reads_and_journals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The duplicate contract survives recovery: a duplicate run written
+/// partly before a checkpoint seal and partly into the log tail (with
+/// removes popping its newest entries and one batch of duplicates)
+/// reads back after `Db::open` exactly as before the handle closed —
+/// the checkpoint bulk load keeps the run's order and the tail replay
+/// re-applies it in LSN order, so `get` still returns the newest value.
+#[test]
+fn duplicate_runs_keep_their_order_across_checkpoint_and_tail() {
+    let dir = scratch("dup-order");
+    let keys = [0i64, 5 << 58, 9 << 58];
+    let db = Db::builder()
+        .shard_config(small_shards())
+        .router_workers(1)
+        .durability(
+            DurabilityConfig::new(&dir)
+                .policy(CommitPolicy::Always)
+                .partitions(4),
+        )
+        .build()
+        .expect("valid durable config");
+    let mut v = 0i64;
+    let mut write_run = |db: &Db, n: i64| {
+        for _ in 0..n {
+            for (j, &k) in keys.iter().enumerate() {
+                v += 1;
+                db.insert(k, v);
+                db.insert(k + 1 + v * 1024 + j as i64, -v); // fresh filler
+            }
+        }
+    };
+    write_run(&db, 40);
+    let mut plan = db.engine().plan_checkpoints();
+    db.engine().drain_plan(&mut plan);
+    write_run(&db, 30);
+    for &k in &keys {
+        for _ in 0..5 {
+            db.remove(k);
+        }
+    }
+    // A batch into the tail: its duplicates rank newest, in batch order.
+    let k = keys[1];
+    db.apply_batch(&[(k, 9001), (k, 9002), (k + 7, 0)], &[k]);
+    assert_eq!(db.get(k), Some(9001));
+    let before: Vec<Option<i64>> = keys.iter().map(|&k| db.get(k)).collect();
+    let before_dump = dump(&db);
+    assert!(before.iter().all(Option::is_some));
+    drop(db);
+
+    let db = Db::open(&dir).expect("recovers");
+    let after: Vec<Option<i64>> = keys.iter().map(|&k| db.get(k)).collect();
+    assert_eq!(after, before, "get after recovery must equal get before");
+    assert_eq!(dump(&db), before_dump, "duplicate runs keep their order");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 mod replay_idempotence {
     use super::*;
     use proptest::prelude::*;

@@ -16,6 +16,13 @@
 //! whole array into a buffer of the new capacity and swaps it in
 //! ([`RewiredVec::commit_resize_swap`]). Both perform exactly one copy
 //! per element on the mmap backend.
+//!
+//! Spare pages are wired only on demand, by
+//! [`RewiredVec::array_and_buffer_mut`]. A window swap leaves them
+//! wired (holding the old window content) for the next rebalance; a
+//! resize swap trims them to at most the new array's size.
+//! [`RewiredVec::resize_in_place`] wires array pages only, so an array
+//! filled in place after growing has no spares at all.
 
 use crate::heap::HeapRegion;
 #[cfg(target_os = "linux")]

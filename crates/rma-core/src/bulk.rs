@@ -19,6 +19,12 @@
 //! top, where densities are tighter, causes rebalances the bottom-up
 //! scheme avoids (the effect measured in Fig. 13b).
 //!
+//! A batch that overflows the whole array (always the case for an
+//! empty RMA) skips the passes: one layout pass at the grown capacity
+//! writes the stored elements merged with the batch straight into
+//! their final slots. Into an empty RMA it writes each pair once, in
+//! place, with no auxiliary buffer and no spare pages left wired.
+//!
 //! Batches with deletions run an initial deletion pass with rebalances
 //! disabled, then load the insertions.
 
@@ -34,6 +40,11 @@ impl Rma {
     /// the batch keep their batch order (the first is the newest). So
     /// loading an RMA's own [`iter`](Rma::iter) order into an empty
     /// RMA reproduces it exactly.
+    ///
+    /// A batch the array cannot absorb, which includes any batch into
+    /// an empty RMA, is laid out in one pass at the grown capacity
+    /// (an even spread, at most `B − 1` per segment); into an empty
+    /// RMA every pair is written once, straight into its final slot.
     pub fn load_bulk(&mut self, batch: &[(Key, Value)]) {
         debug_assert!(
             batch.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -174,7 +185,7 @@ impl Rma {
 // Internal passes shared by the bottom-up and top-down schemes.      //
 // ----------------------------------------------------------------- //
 
-use crate::rma::{cap_targets, even_targets, window_layout};
+use crate::rma::{cap_targets, even_targets, merge_newest_first};
 
 impl Rma {
     pub(crate) fn num_segments_internal(&self) -> usize {
@@ -274,13 +285,16 @@ impl Rma {
         assert!(card + run.len() <= b, "segment overflow in merge");
         self.scratch_keys.clear();
         self.scratch_vals.clear();
-        merge_into(
-            self.storage.seg_keys(s),
-            self.storage.seg_vals(s),
-            run,
-            &mut self.scratch_keys,
-            &mut self.scratch_vals,
-        );
+        let stored = self
+            .storage
+            .seg_keys(s)
+            .iter()
+            .copied()
+            .zip(self.storage.seg_vals(s).iter().copied());
+        for (k, v) in merge_newest_first(stored, run) {
+            self.scratch_keys.push(k);
+            self.scratch_vals.push(v);
+        }
         let new_card = self.scratch_keys.len();
         let base = s * b;
         let dst = if crate::storage::Storage::packs_right(s) {
@@ -314,89 +328,13 @@ impl Rma {
         let mut targets = even_targets(total, m);
         cap_targets(&mut targets, b, total);
         self.stats.rebalances += 1;
-        self.stats.elements_moved += total as u64;
-
-        // Merge the window's elements with the run into scratch; the
-        // rewired path then writes scratch into buffer pages (one copy
-        // of scratch, which itself consumed one read of the array).
-        self.scratch_keys.clear();
-        self.scratch_vals.clear();
-        {
-            let mut ex_iter = segs
-                .clone()
-                .flat_map(|s| {
-                    let r = self.storage.seg_range(s);
-                    self.storage.keys.as_slice()[r.clone()]
-                        .iter()
-                        .copied()
-                        .zip(self.storage.vals.as_slice()[r].iter().copied())
-                })
-                .peekable();
-            let mut run_iter = run.iter().copied().peekable();
-            loop {
-                let take_run = match (ex_iter.peek(), run_iter.peek()) {
-                    (Some(&(ek, _)), Some(&(rk, _))) => rk <= ek,
-                    (None, Some(_)) => true,
-                    (Some(_), None) => false,
-                    (None, None) => break,
-                };
-                let (k, v) = if take_run {
-                    run_iter.next().expect("peeked")
-                } else {
-                    ex_iter.next().expect("peeked")
-                };
-                self.scratch_keys.push(k);
-                self.scratch_vals.push(v);
-            }
-        }
-        debug_assert_eq!(self.scratch_keys.len(), total);
-
-        let first_slot = segs.start * b;
-        let slots = m * b;
-        let dst_ranges = window_layout(segs.start, b, &targets);
-        let epp = self.storage.keys.elems_per_page();
-        let rewire = matches!(
-            self.cfg.rewiring,
-            crate::config::RewiringMode::Enabled { .. }
-        ) && first_slot.is_multiple_of(epp)
-            && slots.is_multiple_of(epp)
-            && slots >= epp;
-        if rewire {
-            self.stats.rewired_commits += 1;
-            let (_, kbuf) = self.storage.keys.array_and_buffer_mut(slots);
-            let mut cursor = 0usize;
-            for dst in &dst_ranges {
-                kbuf[dst.clone()].copy_from_slice(&self.scratch_keys[cursor..cursor + dst.len()]);
-                cursor += dst.len();
-            }
-            self.storage.keys.commit_window_swap(first_slot, slots);
-            let (_, vbuf) = self.storage.vals.array_and_buffer_mut(slots);
-            let mut cursor = 0usize;
-            for dst in &dst_ranges {
-                vbuf[dst.clone()].copy_from_slice(&self.scratch_vals[cursor..cursor + dst.len()]);
-                cursor += dst.len();
-            }
-            self.storage.vals.commit_window_swap(first_slot, slots);
-        } else {
-            self.stats.copied_commits += 1;
-            let mut cursor = 0usize;
-            for dst in &dst_ranges {
-                let n = dst.len();
-                self.storage.keys.as_mut_slice()[first_slot + dst.start..first_slot + dst.end]
-                    .copy_from_slice(&self.scratch_keys[cursor..cursor + n]);
-                self.storage.vals.as_mut_slice()[first_slot + dst.start..first_slot + dst.end]
-                    .copy_from_slice(&self.scratch_vals[cursor..cursor + n]);
-                cursor += n;
-            }
-        }
-        for (i, s) in segs.clone().enumerate() {
-            self.storage.cards[s] = targets[i] as u32;
-        }
+        self.redistribute(segs.clone(), &targets, run);
         self.refresh_separators(segs);
     }
 
-    /// Fallback for batches that overflow the whole array: resize to a
-    /// capacity that fits, then load normally.
+    /// Fallback for batches that overflow the whole array: one layout
+    /// pass at the smallest doubled capacity that fits, with the batch
+    /// merged in (see [`resize_to`](Rma::resize_to)).
     pub(crate) fn rebuild_with_batch(&mut self, batch: &[(Key, Value)]) {
         let b = self.cfg.segment_size;
         let needed = self.len + batch.len();
@@ -418,8 +356,7 @@ impl Rma {
             segs *= 2;
         }
         self.stats.grows += 1;
-        self.resize_to(segs);
-        self.load_bulk(batch);
+        self.resize_to(segs, batch);
     }
 
     /// Deletion pass with rebalances disabled (§III, batch deletes).
@@ -443,34 +380,11 @@ impl Rma {
     }
 }
 
-/// Two-pointer merge of a segment's content with a batch run; on equal
-/// keys the batch entry goes first.
-fn merge_into(
-    seg_keys: &[Key],
-    seg_vals: &[Value],
-    run: &[(Key, Value)],
-    out_keys: &mut Vec<Key>,
-    out_vals: &mut Vec<Value>,
-) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < seg_keys.len() || j < run.len() {
-        let take_run = j < run.len() && (i >= seg_keys.len() || run[j].0 <= seg_keys[i]);
-        if take_run {
-            out_keys.push(run[j].0);
-            out_vals.push(run[j].1);
-            j += 1;
-        } else {
-            out_keys.push(seg_keys[i]);
-            out_vals.push(seg_vals[i]);
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::config::{RewiringMode, RmaConfig};
     use crate::rma::Rma;
+    use crate::DetectorConfig;
 
     fn cfg() -> RmaConfig {
         RmaConfig {
@@ -623,5 +537,115 @@ mod tests {
         r.load_bulk(&batch);
         r.check_invariants();
         assert_eq!(r.len(), 20_000);
+    }
+
+    /// Both rewiring modes, with the Detector on so its metadata is
+    /// part of the footprint.
+    fn one_pass_cfgs() -> [RmaConfig; 2] {
+        [
+            RewiringMode::Enabled { page_bytes: 4096 },
+            RewiringMode::Disabled,
+        ]
+        .map(|rewiring| RmaConfig {
+            segment_size: 16,
+            rewiring,
+            adaptive: Some(DetectorConfig::default()),
+            reserve_bytes: 1 << 26,
+            ..Default::default()
+        })
+    }
+
+    /// Sorted pairs in duplicate runs of 25 and 15, which span
+    /// segments; values record the batch position.
+    fn batch_with_runs(n: i64) -> Vec<(i64, i64)> {
+        (0..n)
+            .map(|i| ((i / 40) * 2 + i64::from(i % 40 >= 25), i))
+            .collect()
+    }
+
+    #[test]
+    fn load_into_empty_wires_no_spare_pages() {
+        for cfg in one_pass_cfgs() {
+            let mut r = Rma::new(cfg);
+            let batch: Vec<(i64, i64)> = (0..10_000).map(|i| (i * 7, i)).collect();
+            r.load_bulk(&batch);
+            r.check_invariants();
+            let page_bytes = match cfg.rewiring {
+                RewiringMode::Enabled { page_bytes } => page_bytes,
+                RewiringMode::Disabled => 64 << 10,
+            };
+            let column = r.capacity().div_ceil(page_bytes / 8) * page_bytes;
+            let det = r
+                .detector
+                .as_ref()
+                .map_or(0, |d| d.num_segments() * (d.config().queue_len * 8 + 48));
+            let want =
+                2 * column + r.storage.cards.capacity() * 4 + r.index.memory_footprint() + det;
+            assert!(det > 0);
+            assert_eq!(r.memory_footprint(), want, "{:?}", cfg.rewiring);
+        }
+    }
+
+    #[test]
+    fn load_into_empty_keeps_the_batch_exactly() {
+        for cfg in one_pass_cfgs() {
+            let batch = batch_with_runs(5_000);
+            assert!(batch.windows(2).all(|w| w[0].0 <= w[1].0));
+            let mut r = Rma::new(cfg);
+            r.load_bulk(&batch);
+            r.check_invariants();
+            assert_eq!(r.iter().collect::<Vec<_>>(), batch, "{:?}", cfg.rewiring);
+        }
+    }
+
+    #[test]
+    fn overflowing_batch_goes_ahead_of_stored_equal_keys() {
+        for cfg in one_pass_cfgs() {
+            let mut r = Rma::new(cfg);
+            let stored = batch_with_runs(2_000);
+            r.load_bulk(&stored);
+            let cap = r.capacity();
+            // Every stored key again, plus fresh ones: the array must
+            // grow, and each batch entry is the newer write.
+            let batch: Vec<(i64, i64)> = batch_with_runs(6_000)
+                .into_iter()
+                .map(|(k, v)| (k, -1 - v))
+                .collect();
+            r.load_bulk(&batch);
+            r.check_invariants();
+            assert!(r.capacity() > cap, "{:?}", cfg.rewiring);
+            let mut want = Vec::new();
+            let (mut i, mut j) = (0, 0);
+            while i < stored.len() || j < batch.len() {
+                if j < batch.len() && (i == stored.len() || batch[j].0 <= stored[i].0) {
+                    want.push(batch[j]);
+                    j += 1;
+                } else {
+                    want.push(stored[i]);
+                    i += 1;
+                }
+            }
+            assert_eq!(r.iter().collect::<Vec<_>>(), want, "{:?}", cfg.rewiring);
+            assert_eq!(r.get(0), Some(batch[0].1));
+        }
+    }
+
+    #[test]
+    fn every_reorganisation_commits_once_after_loads() {
+        for cfg in one_pass_cfgs() {
+            let mut r = Rma::new(cfg);
+            r.load_bulk(&batch_with_runs(3_000));
+            let st = *r.stats();
+            assert_eq!(st.grows, 1, "{:?}", cfg.rewiring);
+            assert_eq!(st.rewired_commits + st.copied_commits, st.reorganisations());
+            for round in 0..10i64 {
+                let batch: Vec<(i64, i64)> = (0..700).map(|i| (i * 13 + round, i)).collect();
+                r.load_bulk(&batch);
+                let st = r.stats();
+                assert_eq!(st.rewired_commits + st.copied_commits, st.reorganisations());
+            }
+            r.check_invariants();
+            assert_eq!(r.len(), 10_000);
+        }
     }
 }

@@ -426,14 +426,20 @@ impl Rma {
         // or the very next insert would re-trigger the same rebalance.
         cap_targets(&mut targets, b, total);
         self.stats.rebalances += 1;
-        self.redistribute(segs.clone(), &targets);
+        self.redistribute(segs.clone(), &targets, &[]);
         self.refresh_separators(segs);
     }
 
     /// Physically moves the window's elements into the target layout,
+    /// with the sorted `run` merged in ahead of stored equal keys,
     /// through page rewiring when the window is page-aligned, and the
     /// auxiliary-buffer copy path otherwise.
-    fn redistribute(&mut self, segs: std::ops::Range<usize>, targets: &[usize]) {
+    pub(crate) fn redistribute(
+        &mut self,
+        segs: std::ops::Range<usize>,
+        targets: &[usize],
+        run: &[(Key, Value)],
+    ) {
         let b = self.cfg.segment_size;
         let first_slot = segs.start * b;
         let slots = segs.len() * b;
@@ -450,51 +456,42 @@ impl Rma {
             && first_slot.is_multiple_of(epp)
             && slots.is_multiple_of(epp)
             && slots >= epp;
+        let st = &mut self.storage;
         if rewire {
+            // Write the window straight into buffer pages and swap
+            // them in: one copy per element.
             self.stats.rewired_commits += 1;
-            for col in [Column::Keys, Column::Vals] {
-                let vec = match col {
-                    Column::Keys => &mut self.storage.keys,
-                    Column::Vals => &mut self.storage.vals,
-                };
-                let (arr, buf) = vec.array_and_buffer_mut(slots);
-                // Flat gather-scatter: walk sources in order, fill
-                // destinations in order — one copy per element.
-                let mut src_iter = src_ranges.iter().flat_map(|r| r.clone());
-                for dst in &dst_ranges {
-                    for slot in dst.clone() {
-                        let s = src_iter.next().expect("targets sum to window total");
-                        buf[slot] = arr[s];
-                    }
-                }
-                vec.commit_window_swap(first_slot, slots);
-            }
+            let (karr, kbuf) = st.keys.array_and_buffer_mut(slots);
+            let (varr, vbuf) = st.vals.array_and_buffer_mut(slots);
+            let stored = src_ranges.into_iter().flatten().map(|i| (karr[i], varr[i]));
+            scatter(merge_newest_first(stored, run), &dst_ranges, kbuf, vbuf);
+            st.keys.commit_window_swap(first_slot, slots);
+            st.vals.commit_window_swap(first_slot, slots);
         } else {
-            self.stats.copied_commits += 1;
             // Copy path: gather into scratch (first copy), scatter
             // back (second copy) — the paper's two-pass scheme.
+            self.stats.copied_commits += 1;
             self.scratch_keys.clear();
             self.scratch_vals.clear();
-            for r in &src_ranges {
+            let (keys, vals) = (st.keys.as_slice(), st.vals.as_slice());
+            let stored = src_ranges.into_iter().flatten().map(|i| (keys[i], vals[i]));
+            for (k, v) in merge_newest_first(stored, run) {
+                self.scratch_keys.push(k);
+                self.scratch_vals.push(v);
+            }
+            let window = first_slot..first_slot + slots;
+            scatter(
                 self.scratch_keys
-                    .extend_from_slice(&self.storage.keys.as_slice()[r.clone()]);
-                self.scratch_vals
-                    .extend_from_slice(&self.storage.vals.as_slice()[r.clone()]);
-            }
-            let mut cursor = 0usize;
-            for dst in &dst_ranges {
-                let n = dst.len();
-                let keys = self.storage.keys.as_mut_slice();
-                keys[first_slot + dst.start..first_slot + dst.end]
-                    .copy_from_slice(&self.scratch_keys[cursor..cursor + n]);
-                let vals = self.storage.vals.as_mut_slice();
-                vals[first_slot + dst.start..first_slot + dst.end]
-                    .copy_from_slice(&self.scratch_vals[cursor..cursor + n]);
-                cursor += n;
-            }
+                    .iter()
+                    .copied()
+                    .zip(self.scratch_vals.iter().copied()),
+                &dst_ranges,
+                &mut st.keys.as_mut_slice()[window.clone()],
+                &mut st.vals.as_mut_slice()[window],
+            );
         }
         for (i, s) in segs.enumerate() {
-            self.storage.cards[s] = targets[i] as u32;
+            st.cards[s] = targets[i] as u32;
         }
     }
 
@@ -553,7 +550,7 @@ impl Rma {
     fn resize_grow(&mut self) {
         self.stats.grows += 1;
         let new_segs = self.grow_target_segments();
-        self.resize_to(new_segs);
+        self.resize_to(new_segs, &[]);
     }
 
     fn resize_shrink(&mut self) {
@@ -562,76 +559,67 @@ impl Rma {
         if new_segs >= self.storage.seg_count() {
             return;
         }
-        self.resize_to(new_segs);
+        self.resize_to(new_segs, &[]);
     }
 
-    /// Rebuilds the array at `new_segs` segments with an even spread,
-    /// swapping pages in via rewiring when enabled (one copy per
-    /// element) or writing into fresh storage otherwise.
-    pub(crate) fn resize_to(&mut self, new_segs: usize) {
+    /// Lays the array out at `new_segs` segments, even spread capped
+    /// at `B − 1`, with the sorted `batch` merged in ahead of stored
+    /// equal keys (the newest-leftmost contract). One copy per
+    /// element: an empty RMA grows both columns in place and writes
+    /// each pair straight into its final slot, wiring no buffer pages;
+    /// otherwise the merged stream is written into a rewiring buffer
+    /// that is swapped in, or into fresh storage when rewiring is off.
+    pub(crate) fn resize_to(&mut self, new_segs: usize, batch: &[(Key, Value)]) {
         let b = self.cfg.segment_size;
-        let old_segs = self.storage.seg_count();
-        debug_assert!(self.len <= new_segs * b, "resize target too small");
-        let mut targets = even_targets(self.len, new_segs);
-        cap_targets(&mut targets, b, self.len);
-        self.stats.elements_moved += self.len as u64;
-
-        let src_ranges: Vec<std::ops::Range<usize>> =
-            (0..old_segs).map(|s| self.storage.seg_range(s)).collect();
+        let total = self.len + batch.len();
+        debug_assert!(total <= new_segs * b, "resize target too small");
+        let mut targets = even_targets(total, new_segs);
+        cap_targets(&mut targets, b, total);
+        self.stats.elements_moved += total as u64;
         let dst_ranges = window_layout(0, b, &targets);
         let new_slots = new_segs * b;
+        let st = &mut self.storage;
+        let src_ranges: Vec<std::ops::Range<usize>> =
+            (0..st.seg_count()).map(|s| st.seg_range(s)).collect();
 
-        if matches!(self.cfg.rewiring, RewiringMode::Enabled { .. }) {
+        if self.len == 0 {
+            // Nothing to gather: no buffer, no scratch.
+            self.stats.copied_commits += 1;
+            st.keys.resize_in_place(new_slots);
+            st.vals.resize_in_place(new_slots);
+            scatter(
+                batch.iter().copied(),
+                &dst_ranges,
+                st.keys.as_mut_slice(),
+                st.vals.as_mut_slice(),
+            );
+        } else if matches!(self.cfg.rewiring, RewiringMode::Enabled { .. }) {
             self.stats.rewired_commits += 1;
-            for col in [Column::Keys, Column::Vals] {
-                let vec = match col {
-                    Column::Keys => &mut self.storage.keys,
-                    Column::Vals => &mut self.storage.vals,
-                };
-                let (arr, buf) = vec.array_and_buffer_mut(new_slots);
-                let mut src_iter = src_ranges.iter().flat_map(|r| r.clone());
-                for dst in &dst_ranges {
-                    for slot in dst.clone() {
-                        let s = src_iter.next().expect("len matches targets");
-                        buf[slot] = arr[s];
-                    }
-                }
-                vec.commit_resize_swap(new_slots);
-            }
+            let (karr, kbuf) = st.keys.array_and_buffer_mut(new_slots);
+            let (varr, vbuf) = st.vals.array_and_buffer_mut(new_slots);
+            let stored = src_ranges.into_iter().flatten().map(|i| (karr[i], varr[i]));
+            scatter(merge_newest_first(stored, batch), &dst_ranges, kbuf, vbuf);
+            st.keys.commit_resize_swap(new_slots);
+            st.vals.commit_resize_swap(new_slots);
         } else {
             self.stats.copied_commits += 1;
             // Standard resize: fresh storage, one copy per element
             // (plus the OS-level page zeroing the paper highlights).
-            let mut new_storage = Storage::new(&self.cfg);
-            new_storage.keys.resize_in_place(new_slots);
-            new_storage.vals.resize_in_place(new_slots);
-            new_storage.cards = vec![0; new_segs];
-            {
-                let old_keys = self.storage.keys.as_slice();
-                let old_vals = self.storage.vals.as_slice();
-                let nk = new_storage.keys.as_mut_slice();
-                let mut src_iter = src_ranges.iter().flat_map(|r| r.clone());
-                for dst in &dst_ranges {
-                    for slot in dst.clone() {
-                        let s = src_iter.next().expect("len matches targets");
-                        nk[slot] = old_keys[s];
-                    }
-                }
-                let nv = new_storage.vals.as_mut_slice();
-                let mut src_iter = src_ranges.iter().flat_map(|r| r.clone());
-                for dst in &dst_ranges {
-                    for slot in dst.clone() {
-                        let s = src_iter.next().expect("len matches targets");
-                        nv[slot] = old_vals[s];
-                    }
-                }
-            }
-            self.storage = new_storage;
+            let mut fresh = Storage::new(&self.cfg);
+            fresh.keys.resize_in_place(new_slots);
+            fresh.vals.resize_in_place(new_slots);
+            let (keys, vals) = (st.keys.as_slice(), st.vals.as_slice());
+            let stored = src_ranges.into_iter().flatten().map(|i| (keys[i], vals[i]));
+            scatter(
+                merge_newest_first(stored, batch),
+                &dst_ranges,
+                fresh.keys.as_mut_slice(),
+                fresh.vals.as_mut_slice(),
+            );
+            *st = fresh;
         }
-        self.storage.cards.resize(new_segs, 0);
-        for (s, t) in targets.iter().enumerate() {
-            self.storage.cards[s] = *t as u32;
-        }
+        st.cards = targets.iter().map(|&t| t as u32).collect();
+        self.len = total;
         // The index is static: a resize rebuilds it from scratch.
         self.rebuild_index();
         if let Some(det) = &mut self.detector {
@@ -690,11 +678,6 @@ impl Rma {
     }
 }
 
-enum Column {
-    Keys,
-    Vals,
-}
-
 /// Even spread: `total` elements over `m` segments, remainder to the
 /// leftmost segments (the TPMA policy).
 pub(crate) fn even_targets(total: usize, m: usize) -> Vec<usize> {
@@ -719,6 +702,40 @@ pub(crate) fn cap_targets(targets: &mut [usize], b: usize, total: usize) {
             targets[j] += 1;
         }
     }
+}
+
+/// Merges stored elements (in key order) with a sorted batch run; on
+/// equal keys the batch entry goes first, as the newer write.
+pub(crate) fn merge_newest_first<'a>(
+    stored: impl Iterator<Item = (Key, Value)> + 'a,
+    run: &'a [(Key, Value)],
+) -> impl Iterator<Item = (Key, Value)> + 'a {
+    let mut stored = stored.peekable();
+    let mut run = run.iter().copied().peekable();
+    std::iter::from_fn(move || match (stored.peek(), run.peek()) {
+        (Some(&(sk, _)), Some(&(rk, _))) if sk < rk => stored.next(),
+        (_, Some(_)) => run.next(),
+        (Some(_), None) => stored.next(),
+        (None, None) => None,
+    })
+}
+
+/// Writes `src`, in order, into the slots of `dst_ranges` of the two
+/// columns; `src` must yield exactly as many pairs as the ranges hold.
+fn scatter(
+    mut src: impl Iterator<Item = (Key, Value)>,
+    dst_ranges: &[std::ops::Range<usize>],
+    keys: &mut [Key],
+    vals: &mut [Value],
+) {
+    for dst in dst_ranges {
+        for slot in dst.clone() {
+            let (k, v) = src.next().expect("targets sum to the source length");
+            keys[slot] = k;
+            vals[slot] = v;
+        }
+    }
+    debug_assert!(src.next().is_none(), "source longer than the layout");
 }
 
 /// Occupied slot ranges (window-relative) for the clustered layout of

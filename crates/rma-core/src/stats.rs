@@ -17,7 +17,9 @@ pub struct RmaStats {
     pub elements_moved: u64,
     /// Rebalances/resizes that committed through page rewiring.
     pub rewired_commits: u64,
-    /// Rebalances/resizes that fell back to the copy path.
+    /// Rebalances/resizes that fell back to the copy path. A resize of
+    /// an empty RMA (the one-pass bulk load) grows its columns in place
+    /// and writes each element once; it counts here, with its grow.
     pub copied_commits: u64,
 }
 

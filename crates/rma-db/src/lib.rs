@@ -693,6 +693,14 @@ mod tests {
         for k in 0..2000i64 {
             db.insert(k % 64, k);
         }
+        // The inserts can finish inside the maintainer's first park:
+        // wait (bounded) for its first poll before stopping it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while db.stats().maintainer.is_some_and(|m| m.polls == 0)
+            && std::time::Instant::now() < deadline
+        {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         // Stop deterministically; the final counters stay readable.
         let final_stats = db.stop_maintenance().expect("was running");
         assert!(final_stats.polls > 0, "maintainer never polled");

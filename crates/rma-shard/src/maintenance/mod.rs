@@ -392,7 +392,10 @@ impl ShardedRma {
 #[cfg(test)]
 mod tests {
     use crate::tests::small_cfg;
-    use crate::{BalancePolicy, MaintenanceReport, ShardedRma, Splitters};
+    use crate::{BalancePolicy, MaintenanceReport, ShardConfig, ShardedRma, Splitters};
+    use rma_core::{RewiringMode, RmaConfig};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 
     #[test]
     fn stats_report_bounds_and_counters() {
@@ -614,25 +617,95 @@ mod tests {
                 let _ = s.get(k);
             }
         }
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        // Plan before the reader starts: its uniform gets would dilute
+        // the hot signal the planner needs.
+        let mut plan = s.plan_relearn();
+        let mut report = plan.relearn_report();
+        let stop = AtomicBool::new(false);
+        let warmed = AtomicBool::new(false);
         std::thread::scope(|sc| {
-            let s = &s;
-            let stop_ref = &stop;
-            let reader = sc.spawn(move || {
+            // Stops the reader on every path, so a failed assertion
+            // fails the test instead of leaving the reader spinning.
+            struct StopOnDrop<'a>(&'a AtomicBool);
+            impl Drop for StopOnDrop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Relaxed);
+                }
+            }
+            let _stop = StopOnDrop(&stop);
+            let reader = sc.spawn(|| {
                 let mut checked = 0u64;
-                while !stop_ref.load(std::sync::atomic::Ordering::Relaxed) {
+                loop {
                     for k in (0..4000i64).step_by(97) {
                         assert_eq!(s.get(k), Some(k));
                         checked += 1;
                     }
+                    warmed.store(true, Release);
+                    if stop.load(Relaxed) {
+                        return checked;
+                    }
                 }
-                checked
             });
-            let report = s.relearn_splitters();
+            // The drain starts only once the reader has finished one
+            // verified pass, so it overlaps the publications. The
+            // reader's own gets move the access mass, so the drain runs
+            // with the staleness bound off: they must not drop the plan.
+            while !warmed.load(Acquire) && !reader.is_finished() {
+                std::thread::yield_now();
+            }
+            let mut executed = 0;
+            while let Some(step) = s.execute_step_with(&mut plan, f64::INFINITY) {
+                executed += usize::from(step.executed);
+            }
+            report.relearned = executed > 0;
             assert!(report.relearned, "{report:?}");
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            stop.store(true, Relaxed);
             assert!(reader.join().unwrap() > 0);
         });
         s.check_invariants();
+    }
+
+    /// Asserts every shard wires less than 1.25 × the 16 B (key plus
+    /// value) its slots need: a whole-array spare buffer left behind
+    /// by a load would read about 2×.
+    fn assert_no_spare_buffer(s: &ShardedRma, what: &str) {
+        for (i, shard) in s.topo().shards.iter().enumerate() {
+            let rma = shard.read();
+            let slot_bytes = 16 * rma.capacity();
+            assert!(
+                rma.memory_footprint() * 4 < slot_bytes * 5,
+                "{what}: shard {i} wires {} B for {slot_bytes} B of slots",
+                rma.memory_footprint()
+            );
+        }
+    }
+
+    #[test]
+    fn loaded_and_split_shards_wire_no_spare_buffer() {
+        let cfg = ShardConfig {
+            num_shards: 4,
+            rma: RmaConfig {
+                rewiring: RewiringMode::Enabled { page_bytes: 4096 },
+                reserve_bytes: 1 << 26,
+                huge_pages: false,
+                ..Default::default()
+            },
+            min_split_len: 64,
+            ..Default::default()
+        };
+        let batch: Vec<(i64, i64)> = (0..1 << 16).map(|i| (i, i)).collect();
+        let s = ShardedRma::load_bulk(cfg, &batch);
+        assert_no_spare_buffer(&s, "load_bulk");
+        // A hot band inside shard 0 makes it split into successors.
+        s.reset_access_stats();
+        for _ in 0..20 {
+            for k in 1000..3000i64 {
+                let _ = s.get(k);
+            }
+        }
+        let report = s.rebalance_shards();
+        assert!(report.splits >= 1, "{report:?}");
+        assert_no_spare_buffer(&s, "split successors");
+        assert_eq!(s.collect_all(), batch);
     }
 }

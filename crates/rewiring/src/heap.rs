@@ -39,12 +39,6 @@ impl HeapRegion {
         self.wired.len()
     }
 
-    /// True if the page was wired.
-    #[allow(dead_code)] // part of the region API; exercised in tests
-    pub fn is_wired(&self, vp: usize) -> bool {
-        self.wired[vp]
-    }
-
     /// Count of wired pages.
     pub fn wired_pages(&self) -> usize {
         self.wired.iter().filter(|&&w| w).count()

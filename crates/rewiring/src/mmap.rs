@@ -138,12 +138,6 @@ impl MmapRegion {
         self.base.add(vp * self.page_bytes)
     }
 
-    /// True if virtual page `vp` currently has a physical page.
-    #[allow(dead_code)] // part of the region API; exercised in tests
-    pub fn is_wired(&self, vp: usize) -> bool {
-        self.table[vp] != UNMAPPED
-    }
-
     /// Number of file pages ever allocated minus those on the free
     /// list — i.e. physical pages currently wired somewhere.
     pub fn wired_pages(&self) -> usize {

@@ -25,9 +25,6 @@ pub struct RmaConfig {
     /// Segment capacity `B`, in elements. The paper's evaluation fixes
     /// `B = 128` except where it sweeps the parameter (Fig. 10).
     pub segment_size: usize,
-    /// Maximum separator keys per static-index node (the paper's
-    /// micro-benchmarked optimum is 64).
-    pub index_fanout: usize,
     /// Density thresholds + resize policy (UT or ST preset).
     pub thresholds: Thresholds,
     /// Memory rewiring mode for rebalances and resizes.
@@ -50,7 +47,6 @@ impl Default for RmaConfig {
     fn default() -> Self {
         RmaConfig {
             segment_size: 128,
-            index_fanout: 64,
             thresholds: Thresholds::update_oriented(),
             rewiring: RewiringMode::Enabled {
                 page_bytes: 2 << 20,
@@ -125,9 +121,6 @@ impl RmaConfig {
         if !self.segment_size.is_power_of_two() {
             return Err(RmaConfigError::SegmentNotPowerOfTwo(self.segment_size));
         }
-        if self.index_fanout < 2 {
-            return Err(RmaConfigError::FanoutTooSmall(self.index_fanout));
-        }
         self.thresholds
             .try_validate()
             .map_err(RmaConfigError::Thresholds)?;
@@ -152,8 +145,6 @@ pub enum RmaConfigError {
     SegmentTooSmall(usize),
     /// Segment capacity is not a power of two.
     SegmentNotPowerOfTwo(usize),
-    /// Static-index fanout below 2.
-    FanoutTooSmall(usize),
     /// Density thresholds violate the designer ordering; the message
     /// names the broken rule.
     Thresholds(&'static str),
@@ -171,9 +162,6 @@ impl std::fmt::Display for RmaConfigError {
             }
             RmaConfigError::SegmentNotPowerOfTwo(b) => {
                 write!(f, "segment size must be a power of two (got {b})")
-            }
-            RmaConfigError::FanoutTooSmall(n) => {
-                write!(f, "index fanout must be >= 2 (got {n})")
             }
             RmaConfigError::Thresholds(reason) => f.write_str(reason),
             RmaConfigError::PageNotPowerOfTwo(b) => {

@@ -35,8 +35,6 @@ struct NodeMeta {
 /// Static, pointer-free index over segment minima.
 #[derive(Debug)]
 pub struct StaticIndex {
-    #[allow(dead_code)] // retained for introspection/debugging
-    fanout: usize,
     num_segments: usize,
     /// All separators, packed by node in breadth-first order.
     keys: Vec<Key>,
@@ -55,7 +53,6 @@ impl StaticIndex {
         let n = minima.len();
         assert!(n >= 1, "index needs at least one segment");
         let mut idx = StaticIndex {
-            fanout,
             num_segments: n,
             keys: Vec::new(),
             nodes: Vec::new(),

@@ -9,6 +9,10 @@ use crate::stats::RmaStats;
 use crate::storage::Storage;
 use crate::{Key, Value};
 
+/// Children per static-index node: the paper's micro-benchmarked
+/// optimum.
+const INDEX_FANOUT: usize = 64;
+
 /// A sorted key/value container over a sparse array with fixed-size
 /// clustered segments, a static index, rewired rebalances and
 /// adaptive rebalancing. See the crate docs for the feature overview.
@@ -31,7 +35,7 @@ impl Rma {
     pub fn new(cfg: RmaConfig) -> Self {
         cfg.validate();
         let storage = Storage::new(&cfg);
-        let index = StaticIndex::build(&[Key::MIN], cfg.index_fanout);
+        let index = StaticIndex::build(&[Key::MIN], INDEX_FANOUT);
         let detector = cfg.adaptive.map(|d| Detector::new(d, 1));
         Rma {
             cfg,
@@ -639,7 +643,7 @@ impl Rma {
             }
             *slot = next_sep;
         }
-        self.index = StaticIndex::build(&minima, self.cfg.index_fanout);
+        self.index = StaticIndex::build(&minima, INDEX_FANOUT);
     }
 
     fn iter_last_key(&self) -> Option<Key> {

@@ -5,9 +5,7 @@ use crate::metrics::ObsConfig;
 use crate::Db;
 use rma_core::{Key, RmaConfig, Value};
 use rma_obs::EventKind;
-use rma_shard::{
-    BalancePolicy, MaintainerConfig, RelearnStrategy, ShardConfig, ShardedRma, Splitters,
-};
+use rma_shard::{MaintainerConfig, ShardConfig, ShardedRma, Splitters};
 use rma_wal::{DurabilityConfig, Wal};
 use std::sync::Arc;
 
@@ -21,10 +19,10 @@ pub enum ConfigError {
     Engine(rma_shard::ConfigError),
     /// `router_workers == 0`: submitted batches could never execute.
     ZeroRouterWorkers,
-    /// Explicit splitter keys combined with a constructor that learns
-    /// its own splitters ([`DbBuilder::build_bulk`] /
-    /// [`DbBuilder::build_from_sample`]) — one of the two must win,
-    /// so the combination is rejected rather than silently ignored.
+    /// Explicit splitter keys combined with a finisher that learns its
+    /// own splitters ([`DbBuilder::build_bulk`] /
+    /// [`DbBuilder::recover`]) — one of the two must win, so the
+    /// combination is rejected rather than silently ignored.
     SplittersConflictWithLearned,
     /// Explicit splitter keys are not strictly increasing (unsorted
     /// or duplicated), so they cannot partition the key space.
@@ -62,14 +60,16 @@ impl From<rma_shard::ConfigError> for ConfigError {
 }
 
 /// Fluent configuration for a [`Db`]. Obtain one with
-/// [`Db::builder`], chain the knobs you care about, and finish with
+/// [`Db::builder`], chain the knobs you care about — engine knobs
+/// without a setter of their own go through
+/// [`shard_config`](Self::shard_config) and
+/// [`maintenance`](Self::maintenance) — and finish with
 /// [`build`](Self::build) (empty), [`build_bulk`](Self::build_bulk)
 /// (sorted batch, splitters learned from its quantiles) or
-/// [`build_from_sample`](Self::build_from_sample) (splitters learned
-/// from a key sample). Every finisher validates *all* inputs first
-/// and returns a typed [`ConfigError`] — nothing panics
-/// mid-construction and no thread spawns on a rejected
-/// configuration.
+/// [`recover`](Self::recover) (reopened from a write-ahead log).
+/// Every finisher validates *all* inputs first and returns a typed
+/// [`ConfigError`] — nothing panics mid-construction and no thread
+/// spawns on a rejected configuration.
 #[derive(Debug, Clone, Default)]
 pub struct DbBuilder {
     shard: ShardConfig,
@@ -94,70 +94,12 @@ impl DbBuilder {
         self
     }
 
-    /// Replaces the whole engine configuration — the escape hatch for
-    /// knobs without a dedicated builder method.
+    /// Replaces the whole engine configuration, including what earlier
+    /// [`shards`](Self::shards) and [`rma`](Self::rma) calls set: the
+    /// way to set every [`ShardConfig`] knob without a setter of its
+    /// own.
     pub fn shard_config(mut self, cfg: ShardConfig) -> Self {
         self.shard = cfg;
-        self
-    }
-
-    /// What maintenance balances on: access mass (default) or length.
-    pub fn balance(mut self, policy: BalancePolicy) -> Self {
-        self.shard.balance = policy;
-        self
-    }
-
-    /// Buckets per shard in the access histogram.
-    pub fn hist_buckets(mut self, n: usize) -> Self {
-        self.shard.hist_buckets = n;
-        self
-    }
-
-    /// Operations between global histogram halvings (`0` disables
-    /// decay).
-    pub fn decay_every(mut self, ops: u64) -> Self {
-        self.shard.decay_every = ops;
-        self
-    }
-
-    /// Adaptive decay half-life in seconds (see
-    /// [`ShardConfig::adaptive_decay`]).
-    pub fn adaptive_decay(mut self, half_life_secs: f64) -> Self {
-        self.shard.adaptive_decay = Some(half_life_secs);
-        self
-    }
-
-    /// Whether maintenance re-learns splitters from the access
-    /// histogram (default on).
-    pub fn relearn(mut self, on: bool) -> Self {
-        self.shard.relearn = on;
-        self
-    }
-
-    /// How re-learning restructures the topology (incremental plan
-    /// engine by default).
-    pub fn relearn_strategy(mut self, strategy: RelearnStrategy) -> Self {
-        self.shard.relearn_strategy = strategy;
-        self
-    }
-
-    /// Shards shorter than this never split.
-    pub fn min_split_len(mut self, n: usize) -> Self {
-        self.shard.min_split_len = n;
-        self
-    }
-
-    /// Upper bound on the elements one incremental maintenance step
-    /// may rebuild — the writer-stall bound.
-    pub fn max_step_elems(mut self, n: usize) -> Self {
-        self.shard.max_step_elems = n;
-        self
-    }
-
-    /// Shard-length backstop: any shard past this many elements is
-    /// split regardless of access balance (latency-SLO deployments).
-    pub fn max_shard_len(mut self, n: usize) -> Self {
-        self.shard.max_shard_len = Some(n);
         self
     }
 
@@ -175,21 +117,6 @@ impl DbBuilder {
     /// thread runs; maintenance can still be driven explicitly
     /// through [`Db::engine`].
     pub fn maintenance(mut self, cfg: MaintainerConfig) -> Self {
-        self.maintenance = Some(cfg);
-        self
-    }
-
-    /// Tunes the maintainer's idle-time compaction gate without
-    /// restating the whole [`MaintainerConfig`]: consolidation
-    /// engages when the op rate drops below `idle_ops_threshold`
-    /// (ops/s) while the live shard count exceeds `target_factor ×`
-    /// the configured `num_shards`. Implies
-    /// [`maintenance`](Self::maintenance) with defaults when none was
-    /// set; both values are validated at [`build`](Self::build).
-    pub fn idle_compaction(mut self, idle_ops_threshold: f64, target_factor: f64) -> Self {
-        let mut cfg = self.maintenance.unwrap_or_default();
-        cfg.idle_ops_threshold = idle_ops_threshold;
-        cfg.compact_target_factor = target_factor;
         self.maintenance = Some(cfg);
         self
     }
@@ -303,23 +230,6 @@ impl DbBuilder {
         };
         Ok(Db::assemble(
             engine,
-            workers,
-            self.maintenance,
-            self.observability.unwrap_or_default(),
-            wal,
-        ))
-    }
-
-    /// Opens an empty database with splitters learned from a key
-    /// sample (the sample is sorted in place).
-    pub fn build_from_sample(self, sample: &mut [Key]) -> Result<Db, ConfigError> {
-        let workers = self.validate()?;
-        if self.splitter_keys.is_some() {
-            return Err(ConfigError::SplittersConflictWithLearned);
-        }
-        let wal = self.create_wal()?;
-        Ok(Db::assemble(
-            ShardedRma::from_sample(self.shard, sample),
             workers,
             self.maintenance,
             self.observability.unwrap_or_default(),

@@ -480,11 +480,23 @@ mod tests {
             ConfigError::Engine(EngineError::ZeroShards)
         );
         assert_eq!(
-            Db::builder().hist_buckets(0).build().unwrap_err(),
+            Db::builder()
+                .shard_config(ShardConfig {
+                    hist_buckets: 0,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap_err(),
             ConfigError::Engine(EngineError::ZeroHistBuckets)
         );
         assert_eq!(
-            Db::builder().max_step_elems(0).build().unwrap_err(),
+            Db::builder()
+                .shard_config(ShardConfig {
+                    max_step_elems: 0,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap_err(),
             ConfigError::Engine(EngineError::ZeroMaxStepElems)
         );
         assert_eq!(
@@ -504,10 +516,6 @@ mod tests {
                 ConfigError::UnsortedSplitterKeys
             );
         }
-        assert!(matches!(
-            Db::builder().adaptive_decay(-1.0).build().unwrap_err(),
-            ConfigError::Engine(EngineError::NonPositiveDecayHalfLife(_))
-        ));
     }
 
     #[test]
@@ -521,11 +529,12 @@ mod tests {
             .splitter_keys((1..16).map(|i| i * 100).collect())
             // Parked poll cadence: the background thread must not race
             // the synchronous `compact()` this test measures.
-            .maintenance(rma_shard::MaintainerConfig {
+            .maintenance(MaintainerConfig {
                 poll_interval: std::time::Duration::from_secs(3600),
+                idle_ops_threshold: 500.0,
+                compact_target_factor: 2.0,
                 ..Default::default()
             })
-            .idle_compaction(500.0, 2.0)
             .build()
             .expect("valid config");
         for k in 0..1600i64 {
@@ -542,12 +551,22 @@ mod tests {
             "nothing drifted under a synchronous compact"
         );
         // Invalid idle knobs are rejected through the typed path.
+        let idle = |idle_ops_threshold, compact_target_factor| {
+            small()
+                .maintenance(MaintainerConfig {
+                    idle_ops_threshold,
+                    compact_target_factor,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap_err()
+        };
         assert!(matches!(
-            small().idle_compaction(0.0, 2.0).build().unwrap_err(),
+            idle(0.0, 2.0),
             ConfigError::Engine(EngineError::IdleOpsThresholdNotPositive(_))
         ));
         assert!(matches!(
-            small().idle_compaction(500.0, 0.5).build().unwrap_err(),
+            idle(500.0, 0.5),
             ConfigError::Engine(EngineError::CompactTargetFactorBelowOne(_))
         ));
     }

@@ -67,15 +67,12 @@ pub struct ShardConfig {
     pub num_shards: usize,
     /// Configuration applied to every per-shard RMA.
     pub rma: RmaConfig,
-    /// A shard splits when its weight (access mass under
-    /// [`BalancePolicy::ByAccess`], length under
-    /// [`BalancePolicy::ByLen`]) exceeds `split_factor` times the mean
-    /// shard weight (and the shard is at least `min_split_len` long).
-    pub split_factor: f64,
-    /// Two adjacent shards merge when their combined weight falls
-    /// below `merge_factor` times the mean shard weight.
-    pub merge_factor: f64,
     /// Shards shorter than this never split, regardless of imbalance.
+    /// A longer shard splits when its weight (access mass under
+    /// [`BalancePolicy::ByAccess`], length under
+    /// [`BalancePolicy::ByLen`]) exceeds `SPLIT_FACTOR` (2.0) times
+    /// the mean shard weight; two adjacent shards merge when their
+    /// combined weight falls below `MERGE_FACTOR` (0.5) times it.
     pub min_split_len: usize,
     /// What maintenance balances on: access mass (default) or length.
     pub balance: BalancePolicy,
@@ -84,30 +81,15 @@ pub struct ShardConfig {
     pub hist_buckets: usize,
     /// Recorded operations (across the whole index) between histogram
     /// halvings: all shard histograms decay *together* so their
-    /// relative masses survive; `0` disables decay. When
-    /// `adaptive_decay` is set this is only the starting value — the
-    /// background maintainer retunes it from the observed op rate.
+    /// relative masses survive; `0` disables decay.
     pub decay_every: u64,
-    /// Adaptive decay half-life in seconds: when set, the background
-    /// maintainer retunes the decay period to `op_rate × half_life`,
-    /// so the histogram forgets a phase change in roughly constant
-    /// wall-clock time regardless of load
-    /// ([`retune_decay`](crate::ShardedRma::retune_decay)). `None`
-    /// keeps `decay_every` fixed. Ignored while `decay_every` is `0`
-    /// (decay disabled).
-    pub adaptive_decay: Option<f64>,
     /// Whether [`maintain`](crate::ShardedRma::maintain) re-learns
-    /// splitters multi-way from the access histogram.
+    /// splitters multi-way from the access histogram. Re-learning
+    /// engages only when the access imbalance (max/mean shard mass)
+    /// reaches `RELEARN_TRIGGER` (1.25), and only when the predicted
+    /// imbalance improves on it by `RELEARN_MIN_GAIN` (10 %) — the
+    /// stability guard against churn for marginal gains.
     pub relearn: bool,
-    /// Re-learning only engages when the access imbalance (max/mean
-    /// shard mass) is at least this factor — below it the topology is
-    /// considered balanced and left alone.
-    pub relearn_trigger: f64,
-    /// Re-learning is skipped unless the predicted post-re-learn
-    /// imbalance improves on the current one by at least this
-    /// fraction (the stability guard against churn for marginal
-    /// gains).
-    pub relearn_min_gain: f64,
     /// How re-learning restructures the topology: incrementally
     /// (default), in one monolithic pass (the PR-3 baseline), or by
     /// boundary nudges only.
@@ -142,16 +124,11 @@ impl Default for ShardConfig {
         ShardConfig {
             num_shards: 8,
             rma: RmaConfig::default(),
-            split_factor: 2.0,
-            merge_factor: 0.5,
             min_split_len: 1024,
             balance: BalancePolicy::ByAccess,
             hist_buckets: 32,
             decay_every: 8192,
-            adaptive_decay: None,
             relearn: true,
-            relearn_trigger: 1.25,
-            relearn_min_gain: 0.1,
             relearn_strategy: RelearnStrategy::default(),
             nudge_gain_fraction: 0.75,
             max_step_elems: 1 << 16,
@@ -161,20 +138,6 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// Default configuration with `n` shards.
-    pub fn with_shards(n: usize) -> Self {
-        ShardConfig {
-            num_shards: n,
-            ..Default::default()
-        }
-    }
-
-    /// Replaces the per-shard RMA configuration.
-    pub fn with_rma(mut self, rma: RmaConfig) -> Self {
-        self.rma = rma;
-        self
-    }
-
     /// Panicking form of [`try_validate`](Self::try_validate), used by
     /// the direct `ShardedRma` constructors (whose contract is to
     /// abort on programmer error).
@@ -190,29 +153,8 @@ impl ShardConfig {
         if self.num_shards < 1 {
             return Err(ConfigError::ZeroShards);
         }
-        if self.split_factor <= 1.0 {
-            return Err(ConfigError::SplitFactorNotAboveOne(self.split_factor));
-        }
-        if self.merge_factor >= self.split_factor {
-            return Err(ConfigError::MergeFactorNotBelowSplit {
-                merge: self.merge_factor,
-                split: self.split_factor,
-            });
-        }
         if self.hist_buckets < 1 {
             return Err(ConfigError::ZeroHistBuckets);
-        }
-        if let Some(hl) = self.adaptive_decay {
-            // NaN must fail too, so compare through the negation.
-            if hl.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                return Err(ConfigError::NonPositiveDecayHalfLife(hl));
-            }
-        }
-        if self.relearn_trigger < 1.0 {
-            return Err(ConfigError::RelearnTriggerBelowOne(self.relearn_trigger));
-        }
-        if !(0.0..1.0).contains(&self.relearn_min_gain) {
-            return Err(ConfigError::RelearnMinGainOutOfRange(self.relearn_min_gain));
         }
         if !(0.0..=1.0).contains(&self.nudge_gain_fraction) {
             return Err(ConfigError::NudgeGainFractionOutOfRange(
@@ -243,25 +185,8 @@ impl ShardConfig {
 pub enum ConfigError {
     /// `num_shards == 0`: the index needs at least one shard.
     ZeroShards,
-    /// `split_factor <= 1`: a shard at the mean weight would split.
-    SplitFactorNotAboveOne(f64),
-    /// `merge_factor >= split_factor`: a freshly split pair would
-    /// immediately re-merge and maintenance would oscillate.
-    MergeFactorNotBelowSplit {
-        /// The offending merge factor.
-        merge: f64,
-        /// The split factor it must stay below.
-        split: f64,
-    },
     /// `hist_buckets == 0`: the access histogram needs a bucket.
     ZeroHistBuckets,
-    /// `adaptive_decay <= 0` (or NaN): the half-life is a duration.
-    NonPositiveDecayHalfLife(f64),
-    /// `relearn_trigger < 1`: re-learning would churn on balanced
-    /// load.
-    RelearnTriggerBelowOne(f64),
-    /// `relearn_min_gain` outside `[0, 1)`.
-    RelearnMinGainOutOfRange(f64),
     /// `nudge_gain_fraction` outside `[0, 1]` (an inverted fraction).
     NudgeGainFractionOutOfRange(f64),
     /// `max_step_elems == 0`: a maintenance step must be allowed to
@@ -294,34 +219,13 @@ pub enum ConfigError {
     /// would merge below the configured shard target and oscillate
     /// against the split pass.
     CompactTargetFactorBelowOne(f64),
-    /// Maintainer `stale_drift` is zero, negative or NaN: every plan
-    /// would be dropped before its first step.
-    StaleDriftNotPositive(f64),
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroShards => f.write_str("need at least one shard"),
-            ConfigError::SplitFactorNotAboveOne(x) => {
-                write!(f, "split factor must exceed 1 (got {x})")
-            }
-            ConfigError::MergeFactorNotBelowSplit { merge, split } => write!(
-                f,
-                "merge factor must stay below split factor or maintenance \
-                 oscillates (merge {merge}, split {split})"
-            ),
             ConfigError::ZeroHistBuckets => f.write_str("need at least one histogram bucket"),
-            ConfigError::NonPositiveDecayHalfLife(x) => {
-                write!(f, "adaptive decay half-life must be positive (got {x})")
-            }
-            ConfigError::RelearnTriggerBelowOne(x) => write!(
-                f,
-                "relearn trigger below 1 would churn on balanced load (got {x})"
-            ),
-            ConfigError::RelearnMinGainOutOfRange(x) => {
-                write!(f, "relearn min gain must be a fraction in [0, 1) (got {x})")
-            }
             ConfigError::NudgeGainFractionOutOfRange(x) => write!(
                 f,
                 "nudge gain fraction must be a fraction in [0, 1] (got {x})"
@@ -355,9 +259,6 @@ impl std::fmt::Display for ConfigError {
                 "compact target factor below 1 would merge past the \
                  configured shard target (got {x})"
             ),
-            ConfigError::StaleDriftNotPositive(x) => {
-                write!(f, "stale drift bound must be positive (got {x})")
-            }
         }
     }
 }
@@ -393,82 +294,12 @@ mod tests {
     }
 
     #[test]
-    fn split_factor_at_one_rejected() {
-        let cfg = ShardConfig {
-            split_factor: 1.0,
-            ..base()
-        };
-        assert_eq!(
-            cfg.try_validate(),
-            Err(ConfigError::SplitFactorNotAboveOne(1.0))
-        );
-    }
-
-    #[test]
-    fn merge_factor_above_split_rejected() {
-        let cfg = ShardConfig {
-            merge_factor: 3.0,
-            ..base()
-        };
-        assert_eq!(
-            cfg.try_validate(),
-            Err(ConfigError::MergeFactorNotBelowSplit {
-                merge: 3.0,
-                split: 2.0
-            })
-        );
-    }
-
-    #[test]
     fn zero_hist_buckets_rejected() {
         let cfg = ShardConfig {
             hist_buckets: 0,
             ..base()
         };
         assert_eq!(cfg.try_validate(), Err(ConfigError::ZeroHistBuckets));
-    }
-
-    #[test]
-    fn non_positive_half_life_rejected() {
-        for bad in [0.0, -1.0, f64::NAN] {
-            let cfg = ShardConfig {
-                adaptive_decay: Some(bad),
-                ..base()
-            };
-            assert!(
-                matches!(
-                    cfg.try_validate(),
-                    Err(ConfigError::NonPositiveDecayHalfLife(_))
-                ),
-                "half-life {bad} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn relearn_trigger_below_one_rejected() {
-        let cfg = ShardConfig {
-            relearn_trigger: 0.9,
-            ..base()
-        };
-        assert_eq!(
-            cfg.try_validate(),
-            Err(ConfigError::RelearnTriggerBelowOne(0.9))
-        );
-    }
-
-    #[test]
-    fn relearn_min_gain_out_of_range_rejected() {
-        for bad in [-0.1, 1.0, 2.0] {
-            let cfg = ShardConfig {
-                relearn_min_gain: bad,
-                ..base()
-            };
-            assert_eq!(
-                cfg.try_validate(),
-                Err(ConfigError::RelearnMinGainOutOfRange(bad))
-            );
-        }
     }
 
     #[test]
@@ -526,13 +357,13 @@ mod tests {
     fn display_matches_the_historic_panic_messages() {
         // Downstream should_panic tests match on these substrings;
         // the typed errors must keep printing them.
-        let text = ConfigError::MergeFactorNotBelowSplit {
-            merge: 3.0,
-            split: 2.0,
+        let text = ConfigError::ZeroShards.to_string();
+        assert!(text.contains("at least one shard"), "{text}");
+        let text = ConfigError::ShardLenBackstopBelowMinSplit {
+            backstop: 512,
+            min_split_len: 1024,
         }
         .to_string();
-        assert!(text.contains("merge factor"), "{text}");
-        let text = ConfigError::NonPositiveDecayHalfLife(0.0).to_string();
-        assert!(text.contains("half-life"), "{text}");
+        assert!(text.contains("backstop"), "{text}");
     }
 }

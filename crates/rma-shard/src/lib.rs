@@ -8,8 +8,8 @@
 //! construction:
 //!
 //! * a [`ShardedRma`] partitions the key space across N shards with
-//!   [`Splitters`] (learned from a sample, a bulk-load batch, or
-//!   spread uniformly);
+//!   [`Splitters`] (learned from a bulk-load batch, given
+//!   explicitly, or spread uniformly);
 //! * point operations route through a **branch-free** splitter search
 //!   and touch exactly one shard; a rebalance or resize inside one
 //!   shard never blocks its siblings;
@@ -144,11 +144,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// (batching keeps the global cache line off the per-op hot path).
 pub(crate) const DECAY_TICK_BATCH: u64 = 64;
 
-/// Bounds on the adaptive decay period so a rate estimate taken
-/// during a lull (or a burst) cannot disable decay or thrash it.
-const ADAPTIVE_DECAY_MIN: u64 = 256;
-const ADAPTIVE_DECAY_MAX: u64 = 1 << 26;
-
 /// Attempts [`ShardedRma::masses_of`] makes to read between decay
 /// sweeps; the pauses between them sum to about 0.2 s.
 const MASS_READ_RETRIES: u32 = 200;
@@ -200,15 +195,12 @@ pub struct ShardedRma {
     /// writers never touch it.
     maint_lock: Mutex<()>,
     /// Shared decay clock: total recorded operations (in
-    /// [`DECAY_TICK_BATCH`] granules). Every `decay_period` ticks,
+    /// [`DECAY_TICK_BATCH`] granules). Every `cfg.decay_every` ticks,
     /// *all* shard histograms halve together — a global halving
     /// preserves the relative masses the re-learner compares, whereas
     /// per-shard decay clocks would drive every busy shard toward the
     /// same steady-state mass.
     op_clock: AtomicU64,
-    /// The live decay period: starts at `cfg.decay_every`, retuned by
-    /// the background maintainer when `cfg.adaptive_decay` is set.
-    decay_period: AtomicU64,
     /// Decay sweeps begun and finished. A sweep halves the shards one
     /// at a time, so readers of the masses validate against this pair,
     /// seqlock-style, to read only between sweeps (see
@@ -280,8 +272,9 @@ rma_obs::metric_set! {
 impl ShardedRma {
     /// Empty index with splitters spread uniformly over the 62-bit
     /// positive key domain (the workload generators' domain). Prefer
-    /// [`from_sample`](Self::from_sample) or
-    /// [`load_bulk`](Self::load_bulk) when a key sample exists.
+    /// [`with_splitters`](Self::with_splitters) or
+    /// [`load_bulk`](Self::load_bulk) when the key distribution is
+    /// known.
     pub fn new(cfg: ShardConfig) -> Self {
         Self::with_splitters(cfg, Splitters::uniform(cfg.num_shards))
     }
@@ -300,7 +293,6 @@ impl ShardedRma {
             handle: TopoHandle::new(topo),
             maint_lock: Mutex::new(()),
             op_clock: AtomicU64::new(0),
-            decay_period: AtomicU64::new(cfg.decay_every),
             sweeps_begun: AtomicU64::new(0),
             sweeps_done: AtomicU64::new(0),
             lock_stats,
@@ -339,15 +331,6 @@ impl ShardedRma {
         self.wal.as_ref()
     }
 
-    /// Empty index with splitters learned from a key sample
-    /// (quantiles of the sorted sample).
-    pub fn from_sample(cfg: ShardConfig, sample: &mut [Key]) -> Self {
-        cfg.validate();
-        sample.sort_unstable();
-        let splitters = Splitters::from_sorted_sample(sample, cfg.num_shards);
-        Self::with_splitters(cfg, splitters)
-    }
-
     /// Pins the current topology (lock-free; see
     /// [`optimistic::TopoHandle`]).
     pub(crate) fn topo(&self) -> TopoGuard<'_> {
@@ -369,7 +352,7 @@ impl ShardedRma {
     }
 
     /// Advances the shared decay clock by `n` recorded operations;
-    /// for every `decay_period` boundary the clock crosses, every
+    /// for every `cfg.decay_every` boundary the clock crosses, every
     /// shard's histogram halves in one sweep. Capped at 64 halvings —
     /// beyond that a u64 counter is zero anyway.
     ///
@@ -381,7 +364,7 @@ impl ShardedRma {
     /// reads it as the op-rate signal) even when decay is disabled.
     pub(crate) fn tick_decay(&self, topo: &Topology, n: u64) {
         let prev = self.op_clock.fetch_add(n, Relaxed);
-        let period = self.decay_period.load(Relaxed);
+        let period = self.cfg.decay_every;
         if period == 0 {
             return;
         }
@@ -431,32 +414,6 @@ impl ShardedRma {
     /// estimate the op rate.
     pub fn op_count(&self) -> u64 {
         self.op_clock.load(Relaxed)
-    }
-
-    /// The decay period currently in force (`cfg.decay_every` until
-    /// the adaptive maintainer retunes it).
-    pub fn decay_period(&self) -> u64 {
-        self.decay_period.load(Relaxed)
-    }
-
-    /// Retunes the decay period for an observed op rate so one
-    /// histogram half-life spans `cfg.adaptive_decay` seconds of wall
-    /// clock: `period = rate × half_life`, clamped to sane bounds.
-    /// No-op unless `adaptive_decay` is configured and decay is
-    /// enabled. Called by the background maintainer each poll; public
-    /// so deployments with their own schedulers can drive it too.
-    pub fn retune_decay(&self, ops_per_sec: f64) {
-        let Some(half_life) = self.cfg.adaptive_decay else {
-            return;
-        };
-        if self.cfg.decay_every == 0 || !ops_per_sec.is_finite() || ops_per_sec <= 0.0 {
-            return;
-        }
-        let period = (ops_per_sec * half_life) as u64;
-        self.decay_period.store(
-            period.clamp(ADAPTIVE_DECAY_MIN, ADAPTIVE_DECAY_MAX),
-            Relaxed,
-        );
     }
 
     /// The configuration this index was built with.
@@ -922,51 +879,14 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_decay_retunes_from_op_rate() {
-        let mut cfg = small_cfg(2);
-        cfg.decay_every = 8192;
-        cfg.adaptive_decay = Some(2.0); // two-second half-life
-        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![1000]));
-        assert_eq!(s.decay_period(), 8192);
-        // 100k ops/s × 2 s half-life → period 200k.
-        s.retune_decay(100_000.0);
-        assert_eq!(s.decay_period(), 200_000);
-        // A lull cannot disable decay: clamped at the floor.
-        s.retune_decay(1.0);
-        assert_eq!(s.decay_period(), super::ADAPTIVE_DECAY_MIN);
-        // A burst cannot freeze history forever: clamped at the cap.
-        s.retune_decay(1e18);
-        assert_eq!(s.decay_period(), super::ADAPTIVE_DECAY_MAX);
-        // Nonsense rates are ignored.
-        s.retune_decay(f64::NAN);
-        assert_eq!(s.decay_period(), super::ADAPTIVE_DECAY_MAX);
-    }
-
-    #[test]
-    fn fixed_decay_ignores_retune() {
-        let s = ShardedRma::with_splitters(small_cfg(2), Splitters::new(vec![1000]));
-        let before = s.decay_period();
-        s.retune_decay(1_000_000.0);
-        assert_eq!(s.decay_period(), before, "adaptive_decay off: no retune");
-    }
-
-    #[test]
-    #[should_panic(expected = "merge factor")]
+    #[should_panic(expected = "at least one shard")]
     fn invalid_config_panics() {
         let cfg = ShardConfig {
-            merge_factor: 3.0,
+            num_shards: 0,
             ..ShardConfig::default()
         };
-        let _ = ShardedRma::new(cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "half-life")]
-    fn invalid_adaptive_decay_panics() {
-        let cfg = ShardConfig {
-            adaptive_decay: Some(0.0),
-            ..ShardConfig::default()
-        };
-        let _ = ShardedRma::new(cfg);
+        // Explicit splitters, so the config validator is what panics
+        // (`new` would stop earlier, in `Splitters::uniform`).
+        let _ = ShardedRma::with_splitters(cfg, Splitters::new(Vec::new()));
     }
 }

@@ -10,10 +10,8 @@
 //! index must be in an `Arc` so the thread can co-own it). Each poll
 //! the thread:
 //!
-//! 1. estimates the op rate from the shared op clock and — when
-//!    [`crate::ShardConfig::adaptive_decay`]
-//!    is set — retunes the histogram decay period so phase changes
-//!    are forgotten in roughly constant wall-clock time;
+//! 1. estimates the op rate from the shared op clock (the signal of
+//!    the idle gate in step 4);
 //! 2. if a [`crate::MaintenancePlan`] is in flight,
 //!    executes up to [`MaintainerConfig::steps_per_tick`] of its
 //!    steps, parking for [`MaintainerConfig::step_pause`] between
@@ -35,9 +33,10 @@
 //!    the coldest neighbour pairs that steer an accreted topology
 //!    back toward its target in the troughs between bursts.
 //!
-//! Plans drain highest-score-first, and an in-flight plan whose
-//! world drifted past [`MaintainerConfig::stale_drift`] has its tail
-//! dropped and is re-planned — a re-plan supersedes, never appends.
+//! Plans drain highest-score-first, and an in-flight plan whose live
+//! shard count or access mass drifted by more than half since its
+//! last executed step has its tail dropped and is re-planned — a
+//! re-plan supersedes, never appends.
 //!
 //! Under [`RelearnStrategy::Monolithic`](crate::RelearnStrategy) the
 //! plan engine is bypassed and the thread runs the old synchronous
@@ -109,12 +108,6 @@ pub struct MaintainerConfig {
     /// an on-target topology from oscillating merge/split. Must be
     /// ≥ 1.0.
     pub compact_target_factor: f64,
-    /// Relative drift bound for the scheduler's staleness check
-    /// ([`ShardedRma::execute_step_with`]): an in-flight plan whose
-    /// live shard count or access masses moved more than this
-    /// fraction since its last executed step has its remaining tail
-    /// dropped and is re-planned from fresh signals.
-    pub stale_drift: f64,
 }
 
 impl Default for MaintainerConfig {
@@ -128,7 +121,6 @@ impl Default for MaintainerConfig {
             checkpoint_interval: None,
             idle_ops_threshold: 1000.0,
             compact_target_factor: 2.0,
-            stale_drift: crate::maintenance::executor::DEFAULT_STALE_DRIFT,
         }
     }
 }
@@ -166,9 +158,6 @@ impl MaintainerConfig {
             return Err(ConfigError::CompactTargetFactorBelowOne(
                 self.compact_target_factor,
             ));
-        }
-        if self.stale_drift.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(ConfigError::StaleDriftNotPositive(self.stale_drift));
         }
         Ok(())
     }
@@ -322,7 +311,7 @@ fn drain_tick(
                     break 'drain false;
                 }
             }
-            let Some(report) = index.execute_step_with(plan, cfg.stale_drift) else {
+            let Some(report) = index.execute_step(plan) else {
                 break 'drain true;
             };
             if report.executed {
@@ -394,16 +383,15 @@ fn maintainer_loop(
         'tick: {
             let ops = index.op_count();
             let elapsed = last_poll.elapsed().as_secs_f64();
-            // Op-rate estimate for this poll window: drives both the
-            // adaptive decay retune and the idle-consolidation gate.
-            // Defaults to "busy" when the window is too short to
-            // measure, and when `reset_access_stats` rewound the
-            // clock — a rewind says nothing about load, and reading
-            // it as rate 0 would open the idle gate mid-burst.
+            // Op-rate estimate for this poll window: drives the
+            // idle-consolidation gate. Defaults to "busy" when the
+            // window is too short to measure, and when
+            // `reset_access_stats` rewound the clock — a rewind says
+            // nothing about load, and reading it as rate 0 would open
+            // the idle gate mid-burst.
             let mut rate = f64::INFINITY;
             if elapsed > 0.0 && ops >= last_ops {
                 rate = (ops - last_ops) as f64 / elapsed;
-                index.retune_decay(rate);
             }
             last_poll = Instant::now();
             // A clock rewind also invalidates the op-based backstop.
@@ -613,29 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_decay_is_driven_by_the_maintainer() {
-        let mut cfg = small_cfg(2);
-        cfg.decay_every = 8192;
-        cfg.adaptive_decay = Some(0.001); // 1 ms half-life: tiny period
-        let s = Arc::new(ShardedRma::with_splitters(cfg, Splitters::new(vec![1000])));
-        let m = s.start_maintainer(MaintainerConfig {
-            poll_interval: Duration::from_millis(1),
-            ..Default::default()
-        });
-        for _ in 0..200 {
-            for k in 0..512i64 {
-                let _ = s.get(k);
-            }
-            if s.decay_period() != 8192 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        m.stop();
-        assert_ne!(s.decay_period(), 8192, "maintainer never retuned decay");
-    }
-
-    #[test]
     fn idle_maintainer_consolidates_an_accreted_topology() {
         // 16 live shards against a configured target of 2: with no
         // load at all, the idle gate must engage and merge the count
@@ -760,17 +725,6 @@ mod tests {
                     Err(ConfigError::IdleOpsThresholdNotPositive(_))
                 ),
                 "idle_ops_threshold={bad} must be rejected"
-            );
-            let cfg = MaintainerConfig {
-                stale_drift: bad,
-                ..Default::default()
-            };
-            assert!(
-                matches!(
-                    cfg.try_validate(),
-                    Err(ConfigError::StaleDriftNotPositive(_))
-                ),
-                "stale_drift={bad} must be rejected"
             );
         }
         for bad in [0.0, 0.99, -1.0, f64::NAN] {

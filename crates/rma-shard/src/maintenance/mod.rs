@@ -273,9 +273,9 @@ impl ShardedRma {
         self.finish_shard(self.shard_shell(), splitters, i, elems, wb)
     }
 
-    /// Splits shards whose balance weight exceeds `split_factor ×` the
-    /// mean and merges adjacent pairs whose combined weight falls
-    /// below the `merge_factor ×` mean floor, by planning and
+    /// Splits shards whose balance weight exceeds `SPLIT_FACTOR` (2.0)
+    /// × the mean and merges adjacent pairs whose combined weight
+    /// falls below the `MERGE_FACTOR` (0.5) × mean floor, by planning and
     /// immediately draining bounded rounds of [`MaintenanceStep`]s.
     /// Under the default [`BalancePolicy::ByAccess`], split points
     /// come from the shard histogram's equal-access CDF point and
@@ -306,8 +306,8 @@ impl ShardedRma {
 
     /// Re-learns the splitter set from the global access histogram —
     /// multi-way equal-access quantiles, guarded twice (observed
-    /// imbalance must reach `relearn_trigger` **and** the predicted
-    /// imbalance must improve by `relearn_min_gain`), so uniform
+    /// imbalance must reach `RELEARN_TRIGGER` (1.25) **and** the
+    /// predicted imbalance must improve by `RELEARN_MIN_GAIN` (10 %)), so uniform
     /// workloads cause zero churn.
     ///
     /// Under the default [`RelearnStrategy::Incremental`] the rebuild
@@ -436,10 +436,9 @@ mod tests {
     fn access_cut_splits_at_the_hot_point_not_the_median() {
         // Shard 0 holds keys 0..1000 but only the top decile is ever
         // touched after loading: the access CDF cut must land inside
-        // [900, 1000), not at the median 500.
-        let mut cfg = small_cfg(2);
-        cfg.split_factor = 1.5;
-        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![5000]));
+        // [900, 1000), not at the median 500. Three shards: with two,
+        // no shard's mass can exceed twice the mean, the split trigger.
+        let s = ShardedRma::with_splitters(small_cfg(3), Splitters::new(vec![5000, 10_000]));
         for k in 0..1000i64 {
             s.insert(k, k);
         }
@@ -449,7 +448,7 @@ mod tests {
                 let _ = s.get(k);
             }
         }
-        // Something must make shard 0 hot relative to shard 1.
+        // Something must make shard 0 hot relative to the others.
         let _ = s.get(6000);
         let report = s.rebalance_shards();
         assert!(report.splits >= 1, "{report:?}");
@@ -707,5 +706,69 @@ mod tests {
         assert!(report.splits >= 1, "{report:?}");
         assert_no_spare_buffer(&s, "split successors");
         assert_eq!(s.collect_all(), batch);
+    }
+
+    /// Pins what maintenance does under the default configuration on
+    /// a fixed insert and access pattern. Shard 0 sits just above the
+    /// split trigger (weight 3900 against 2 × mean 3616), shards 2 and
+    /// 3 just below the merge floor (834 against 0.5 × mean 904), and
+    /// the re-learn that follows takes one boundary nudge. The
+    /// splitters and counts were recorded with the factors, the
+    /// re-learn trigger, the gain bar and the nudge fraction at their
+    /// defaults, so they move only if one of those moves.
+    #[test]
+    fn default_config_maintenance_outcome_is_pinned() {
+        let cfg = ShardConfig {
+            num_shards: 4,
+            ..ShardConfig::default()
+        };
+        let s = ShardedRma::with_splitters(cfg, Splitters::new(vec![10_000, 20_000, 30_000]));
+        for k in 0..40_000i64 {
+            s.insert(k, k);
+        }
+        s.reset_access_stats();
+        for k in (0..20_000i64).step_by(4) {
+            let _ = s.get(k);
+        }
+        for k in (20_000..40_000i64).step_by(24) {
+            let _ = s.get(k);
+        }
+        for k in 2_000..3_400i64 {
+            let _ = s.get(k);
+        }
+        assert_eq!(s.access_masses(), vec![3900, 2500, 417, 417]);
+
+        let rebalance = s.rebalance_shards();
+        assert_eq!(
+            rebalance,
+            MaintenanceReport {
+                splits: 1,
+                merges: 1
+            }
+        );
+        assert_eq!(s.splitters().keys(), &[3163, 10_000, 20_000]);
+
+        let relearn = s.relearn_splitters();
+        assert!(relearn.relearned, "{relearn:?}");
+        assert_eq!((relearn.shards_before, relearn.shards_after), (4, 4));
+        assert!(
+            (relearn.imbalance_before - 1.382_552_191_345_223).abs() < 1e-9,
+            "{relearn:?}"
+        );
+        assert!(
+            (relearn.imbalance_predicted - 1.078_390_709_249_274).abs() < 1e-9,
+            "{relearn:?}"
+        );
+        assert_eq!(s.splitters().keys(), &[3163, 10_000, 16_668]);
+
+        let stats = s.maintenance_stats();
+        assert_eq!(
+            (stats.plans, stats.steps_executed, stats.nudges),
+            (2, 3, 1),
+            "{stats:?}"
+        );
+        assert_eq!(stats.keys_migrated, 33_332, "{stats:?}");
+        s.check_invariants();
+        assert_eq!(s.len(), 40_000);
     }
 }

@@ -5,6 +5,7 @@
 //! stall it causes (every shard's write lock held for the whole
 //! rebuild) against the plan engine's bounded steps.
 
+use super::plan::{RELEARN_MIN_GAIN, RELEARN_TRIGGER};
 use super::{imbalance_of, predicted_masses, RelearnReport};
 use crate::shard::{Shard, Topology};
 use crate::{ShardedRma, Splitters};
@@ -41,7 +42,7 @@ impl ShardedRma {
         let mean = total as f64 / n as f64;
         let imbalance = *masses.iter().max().expect("at least one shard") as f64 / mean;
         report.imbalance_before = imbalance;
-        if imbalance < self.cfg.relearn_trigger {
+        if imbalance < RELEARN_TRIGGER {
             return report; // already balanced: no churn
         }
         let wb: Vec<(Key, Key, u64)> = topo
@@ -55,7 +56,7 @@ impl ShardedRma {
         }
         let predicted = imbalance_of(&predicted_masses(&wb, &candidate));
         report.imbalance_predicted = predicted;
-        if predicted >= (1.0 - self.cfg.relearn_min_gain) * imbalance {
+        if predicted >= (1.0 - RELEARN_MIN_GAIN) * imbalance {
             return report; // gain too small to justify the churn
         }
 

@@ -14,7 +14,7 @@
 //! Three planners:
 //!
 //! * [`ShardedRma::plan_rebalance`] — one round of the split/merge
-//!   pass: every shard over the `split_factor` trigger gets a
+//!   pass: every shard over the `SPLIT_FACTOR` trigger gets a
 //!   [`SplitShard`] at its histogram-CDF (or median) cut, every
 //!   leftmost non-overlapping cold pair a [`MergePair`];
 //! * [`ShardedRma::plan_relearn`] — the multi-way re-learn behind the
@@ -52,6 +52,24 @@ use crate::{BalancePolicy, RelearnStrategy, ShardedRma, Splitters};
 use rma_core::Key;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::Ordering::Relaxed;
+
+/// A shard splits when its balance weight exceeds this many times the
+/// mean shard weight (and it is at least `min_split_len` long).
+const SPLIT_FACTOR: f64 = 2.0;
+/// Two adjacent shards merge when their combined weight falls below
+/// this many times the mean shard weight.
+const MERGE_FACTOR: f64 = 0.5;
+// A freshly split pair must not qualify to merge straight back, or
+// maintenance oscillates.
+const _: () = assert!(MERGE_FACTOR < SPLIT_FACTOR);
+/// Re-learning engages only at or above this max/mean access
+/// imbalance: below it the topology counts as balanced. Shared by the
+/// incremental and the monolithic planner.
+pub(super) const RELEARN_TRIGGER: f64 = 1.25;
+/// Re-learning runs only when the predicted imbalance improves on the
+/// observed one by at least this fraction — the guard against churn
+/// for marginal gains. Shared like [`RELEARN_TRIGGER`].
+pub(super) const RELEARN_MIN_GAIN: f64 = 0.1;
 
 /// One bounded unit of topology restructuring. Every step publishes
 /// its own copy-on-write topology when executed, so concurrent
@@ -304,11 +322,11 @@ impl ShardedRma {
     }
 
     /// One round of the split/merge pass as a plan: a [`SplitShard`]
-    /// for every shard whose balance weight exceeds `split_factor ×`
-    /// the mean (cut at the histogram CDF midpoint under `ByAccess`,
+    /// for every shard whose balance weight exceeds `SPLIT_FACTOR`
+    /// (2.0) × the mean (cut at the histogram CDF midpoint under `ByAccess`,
     /// the key median under `ByLen`), a [`MergePair`] for every
     /// leftmost non-overlapping adjacent pair under the
-    /// `merge_factor ×` mean floor. Balanced topologies plan zero
+    /// `MERGE_FACTOR` (0.5) × mean floor. Balanced topologies plan zero
     /// steps.
     ///
     /// [`SplitShard`]: MaintenanceStep::SplitShard
@@ -332,7 +350,7 @@ impl ShardedRma {
         }
         let mean = (total / n as u64).max(1);
         for i in 0..n {
-            let hot = (weights[i] as f64) > self.cfg.split_factor * mean as f64;
+            let hot = (weights[i] as f64) > SPLIT_FACTOR * mean as f64;
             // Optional length backstop (`ShardConfig::max_shard_len`):
             // a shard larger than one step may rebuild would make
             // *every* future restructuring of it — including the
@@ -365,15 +383,15 @@ impl ShardedRma {
                 let combined = (weights[i] + weights[i + 1]) as f64;
                 let combined_len = lens[i] + lens[i + 1];
                 let len_ok = (policy == BalancePolicy::ByLen
-                    || (combined_len as f64) <= self.cfg.split_factor * mean_len as f64)
+                    || (combined_len as f64) <= SPLIT_FACTOR * mean_len as f64)
                     // Never merge past the length backstop: the next
                     // round would split the result right back.
                     && self.cfg.max_shard_len.is_none_or(|m| combined_len <= m);
-                if combined < self.cfg.merge_factor * mean as f64 && len_ok {
+                if combined < MERGE_FACTOR * mean as f64 && len_ok {
                     // Merges recover footprint, not imbalance: tier
                     // below the splits, coldest-per-migrated-key
                     // first within it.
-                    let slack = (self.cfg.merge_factor * mean as f64 - combined).max(0.0);
+                    let slack = (MERGE_FACTOR * mean as f64 - combined).max(0.0);
                     steps.push((
                         MaintenanceStep::MergePair {
                             splitter: topo.splitters.keys()[i],
@@ -391,9 +409,9 @@ impl ShardedRma {
 
     /// The multi-way splitter re-learn as a plan, behind the same
     /// two-stage stability guard as always: empty unless the observed
-    /// max/mean access imbalance reaches `relearn_trigger` **and**
-    /// the chosen plan's predicted imbalance improves on it by at
-    /// least `relearn_min_gain` — uniform workloads plan zero steps.
+    /// max/mean access imbalance reaches `RELEARN_TRIGGER` (1.25)
+    /// **and** the chosen plan's predicted imbalance improves on it by
+    /// at least `RELEARN_MIN_GAIN` (10 %) — uniform workloads plan zero steps.
     /// See the module docs for the nudge-vs-rebuild decision.
     pub fn plan_relearn(&self) -> MaintenancePlan {
         let topo = self.topo();
@@ -412,7 +430,7 @@ impl ShardedRma {
         let mean = total as f64 / n as f64;
         let imbalance = *masses.iter().max().expect("at least one shard") as f64 / mean;
         report.imbalance_before = imbalance;
-        if imbalance < self.cfg.relearn_trigger {
+        if imbalance < RELEARN_TRIGGER {
             // Already balanced.
             return self.finish_plan(Vec::new(), PlanKind::Relearn, report);
         }
@@ -421,13 +439,13 @@ impl ShardedRma {
             .iter()
             .flat_map(|s| s.stats.weighted_buckets())
             .collect();
-        let gain_bar = (1.0 - self.cfg.relearn_min_gain) * imbalance;
+        let gain_bar = (1.0 - RELEARN_MIN_GAIN) * imbalance;
 
         if self.cfg.relearn_strategy == RelearnStrategy::NudgeOnly {
             // Nudge sweeps are guarded by the trigger plus their own
             // fixpoint (a sweep whose targets all coincide with the
             // current boundaries plans nothing) — NOT by the
-            // `relearn_min_gain` bar. A Lloyd iteration's *marginal*
+            // `RELEARN_MIN_GAIN` bar. A Lloyd iteration's *marginal*
             // per-round improvement shrinks long before the fixpoint,
             // so gain-gating sweeps would freeze the boundary chase
             // mid-convergence (and make the background maintainer,

@@ -251,7 +251,10 @@ mod tests {
     use std::sync::Arc;
 
     fn topo(n: usize) -> Topology {
-        let cfg = ShardConfig::with_shards(n);
+        let cfg = ShardConfig {
+            num_shards: n,
+            ..Default::default()
+        };
         Topology::empty(Splitters::uniform(n), &cfg, &Arc::new(Default::default()))
     }
 

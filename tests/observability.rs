@@ -12,18 +12,30 @@ use rma_repro::obs::{Event, EventKind};
 use rma_repro::rma::{RewiringMode, RmaConfig};
 use rma_repro::shard::ShardConfig;
 
+fn small_cfg() -> ShardConfig {
+    ShardConfig {
+        num_shards: 4,
+        rma: RmaConfig {
+            segment_size: 8,
+            rewiring: RewiringMode::Disabled,
+            reserve_bytes: 1 << 24,
+            ..Default::default()
+        },
+        min_split_len: 64,
+        ..Default::default()
+    }
+}
+
 fn small() -> DbBuilder {
+    Db::builder().shard_config(small_cfg()).router_workers(2)
+}
+
+/// [`small`] with the shard-length backstop at `max_shard_len`.
+fn small_with_backstop(max_shard_len: usize) -> DbBuilder {
     Db::builder()
         .shard_config(ShardConfig {
-            num_shards: 4,
-            rma: RmaConfig {
-                segment_size: 8,
-                rewiring: RewiringMode::Disabled,
-                reserve_bytes: 1 << 24,
-                ..Default::default()
-            },
-            min_split_len: 64,
-            ..Default::default()
+            max_shard_len: Some(max_shard_len),
+            ..small_cfg()
         })
         .router_workers(2)
 }
@@ -37,9 +49,8 @@ fn small() -> DbBuilder {
 #[test]
 fn journal_captures_forced_split_merge_cycle() {
     let splitters: Vec<i64> = (1..16).map(|i| i * 100).collect();
-    let db = small()
+    let db = small_with_backstop(256)
         .splitter_keys(splitters)
-        .max_shard_len(256)
         .build()
         .expect("valid");
     for k in -2000..100i64 {
@@ -109,13 +120,12 @@ fn positions(journal: &[Event], kind: EventKind) -> Vec<usize> {
 /// evicted first) no matter how many maintenance steps run.
 #[test]
 fn journal_capacity_evicts_oldest_first() {
-    let db = small()
+    let db = small_with_backstop(128)
         .observability(ObsConfig {
             enabled: true,
             journal_capacity: 16,
             ..Default::default()
         })
-        .max_shard_len(128)
         .build()
         .expect("valid");
     for k in 0..4000i64 {
@@ -236,13 +246,12 @@ fn op_latency_sampling_records_one_in_n() {
 /// the Display report keep working.
 #[test]
 fn disabled_observability_records_nothing_but_renders() {
-    let db = small()
+    let db = small_with_backstop(128)
         .observability(ObsConfig {
             enabled: false,
             journal_capacity: 64,
             ..Default::default()
         })
-        .max_shard_len(128)
         .build()
         .expect("valid");
     let mut s = db.session();
